@@ -368,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, default=0.0)
     p.add_argument("--mode", choices=("packing", "covering"), default=None)
     p.add_argument("--measure", choices=tuple(MEASURE_FLAGS), default=None)
-    p.add_argument("--par", type=int, default=None)
     _add_output_flags(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -10,6 +10,16 @@ vol(cell ∩ ball) is computed by inclusion-exclusion over the face caps:
 ball volume, minus caps, plus pairwise cap intersections, minus triple
 intersections.  Pair and triple terms enter once the ball reaches the
 least-norm point beyond the corresponding planes (a tiny active-set QP).
+
+The coordinate permutations and the central inversion map L_delta onto
+itself (P B = B P), so they permute the faces.  The arrangement groups
+the pair and triple terms into orbits under these 12 isometries and
+stores one activation per orbit; inclusion-exclusion evaluates one
+representative per orbit and weights it by the orbit size.  Pair and
+triple volumes are both closed form by the divergence theorem,
+3V = r * A_sphere - sum_i d_i * A_face_i; the triple's spherical patch
+comes from Gauss-Bonnet on the intersection of three caps.
+
 Triple regions only appear below the covering radius for delta > 1, in
 the band s1 < r < s2; for delta <= 1 every activating triple is the
 containment-degenerate kind that cancels its pair term exactly.
@@ -23,7 +33,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .lattice import DistortedLattice, covering_radius, unit_ball_volume
 
@@ -134,6 +143,13 @@ def _segment_area(rho: float, c: float) -> float:
     return rho * rho * math.acos(c / rho) - c * math.sqrt(rho * rho - c * c)
 
 
+def _norm_cross(u, v) -> float:
+    """|u x v|, accurate also for nearly parallel u and v."""
+    return math.sqrt((u[1] * v[2] - u[2] * v[1]) ** 2
+                     + (u[2] * v[0] - u[0] * v[2]) ** 2
+                     + (u[0] * v[1] - u[1] * v[0]) ** 2)
+
+
 def cap_pair_intersection_volume(r: float, plane1, plane2) -> float:
     """Volume of the ball region beyond both planes (a spherical lens).
 
@@ -155,7 +171,9 @@ def cap_pair_intersection_volume(r: float, plane1, plane2) -> float:
     if d2 <= -r:
         return spherical_cap_volume(r, d1)
     cg = _clamp(float(n1 @ n2))
-    gamma = math.acos(cg)
+    # from the cross product too, so (anti)parallel normals are caught
+    # below even when rounding leaves |cg| a few ulps short of 1
+    gamma = math.atan2(_norm_cross(n1, n2), cg)
     if gamma < 1e-12:
         return spherical_cap_volume(r, max(d1, d2))
     if gamma > math.pi - 1e-12:
@@ -277,8 +295,8 @@ def _disk_two_halfplanes(rho: float, u1, e1: float, u2, e2: float) -> float:
     return max(area, 0.0)
 
 
-def _slice_area(rho: float, constraints) -> float:
-    """Area of disk(rho) under up to two in-slice halfplane constraints."""
+def _disk_area_cut(rho: float, constraints) -> float:
+    """Area of disk(rho) under up to two halfplane constraints (u, e)."""
     if rho <= 0.0:
         return 0.0
     active = []
@@ -295,15 +313,136 @@ def _slice_area(rho: float, constraints) -> float:
     return _disk_two_halfplanes(rho, u1, e1, u2, e2)
 
 
+def _frame(n):
+    """Two unit vectors completing the unit vector n to a right-handed
+    orthonormal frame (f1, f2, n), without branching near the poles
+    (Duff et al., J. Comput. Graph. Tech. 6, 2017)."""
+    nx, ny, nz = n
+    sign = math.copysign(1.0, nz)
+    a = -1.0 / (sign + nz)
+    b = nx * ny * a
+    return ((1.0 + sign * nx * nx * a, sign * b, -sign * nx),
+            (b, sign + ny * ny * a, -ny))
+
+
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+# azimuths closer than this are one point of the circle: three circles
+# through one point must not leave a sliver arc or double-count a corner
+_TIE = 1e-12
+
+
+def _arc_cut(arc_j, arc_k):
+    """Arc length and endpoint turning of circle i inside two caps.
+
+    Each argument describes the part of circle i inside one cap: True
+    (all of it), False (none of it), or (start azimuth, length, turning
+    angle at the two crossing points).  Returns the total length of the
+    intersection and half the turning angle of each of its endpoints;
+    every corner is the endpoint of an arc on each of its two circles,
+    so the halves add up to the full turning angle.  Where both arcs end
+    at one point the three tangent halfplanes there bound a sector whose
+    two extreme sides give the corner, so the larger angle counts.
+    """
+    if arc_j is False or arc_k is False:
+        return 0.0, 0.0
+    if arc_j is True and arc_k is True:
+        return 2.0 * math.pi, 0.0
+    if arc_j is True or arc_k is True:
+        _, length, eps = arc_k if arc_j is True else arc_j
+        return length, eps
+    s_j, len_j, eps_j = arc_j
+    s_k, len_k, eps_k = arc_k
+    both = max(eps_j, eps_k)
+    # in the frame where arc j is [0, len_j], arc k starts at x; it may
+    # also reach [0, len_j] after wrapping once around the circle
+    x = (s_k - s_j) % (2.0 * math.pi)
+    length = turn = 0.0
+    for lo in (x, x - 2.0 * math.pi):
+        hi = lo + len_k
+        if min(len_j, hi) - max(0.0, lo) <= _TIE:
+            continue
+        length += min(len_j, hi) - max(0.0, lo)
+        if abs(lo) < _TIE:
+            turn += 0.5 * both
+        else:
+            turn += 0.5 * (eps_j if lo < 0.0 else eps_k)
+        if abs(hi - len_j) < _TIE:
+            turn += 0.5 * both
+        else:
+            turn += 0.5 * (eps_j if hi > len_j else eps_k)
+    return length, turn
+
+
+def _triple_divergence(r: float, normals, dists) -> float:
+    """Volume beyond three planes at distances d_i >= 0 inside ball(r).
+
+    Divergence theorem: 3V = r * A_sphere - sum_i d_i * A_face_i.  On
+    the unit sphere the patch is the intersection of three caps of
+    cosine c_i = d_i / r, and Gauss-Bonnet gives its area as 2 pi minus
+    c_i times the arc angle on each boundary circle minus the turning
+    angle at each corner.  Each face is the disk of its plane cut by
+    the other two planes.
+    """
+    c = [d / r for d in dists]
+    s = [math.sqrt(max((r - d) * (r + d), 0.0)) / r for d in dists]
+    curve = 0.0  # sum of c_i * arc angle plus the corner turning angles
+    arcs_total = 0.0
+    faces = 0.0
+    for i in range(3):
+        f1, f2 = _frame(normals[i])
+        arcs = []
+        cons = []
+        for o in range(3):
+            if o == i:
+                continue
+            g = _dot(normals[i], normals[o])
+            s_io = _norm_cross(normals[i], normals[o])
+            if s_io < 1e-12:
+                # opposite planes at d >= 0 leave no volume between them;
+                # parallel ones never get here, the redundancy check
+                # returns their pair lens
+                return 0.0
+            px, py = _dot(normals[o], f1), _dot(normals[o], f2)
+            # offset of plane o's trace on the plane of circle i, per unit r
+            q = (c[o] - g * c[i]) / s_io
+            cons.append(((px / s_io, py / s_io), r * q))
+            h2 = s[i] * s[i] - q * q
+            if h2 <= 0.0:
+                arcs.append(q < 0.0)
+                continue
+            h = math.sqrt(h2)
+            half = math.atan2(h, q)
+            arcs.append((math.atan2(py, px) - half, 2.0 * half,
+                         math.atan2(h * s_io, g - c[i] * c[o])))
+        length, turn = _arc_cut(*arcs)
+        arcs_total += length
+        curve += c[i] * length + turn
+        faces += dists[i] * _disk_area_cut(r * s[i], cons)
+    if arcs_total <= 0.0:
+        return 0.0
+    a_sphere = r * r * (2.0 * math.pi - curve)
+    return (r * a_sphere - faces) / 3.0
+
+
 def cap_triple_intersection_volume(r: float, plane1, plane2, plane3) -> float:
     """Volume of the ball region beyond all three planes.
 
     If one plane is a nonnegative combination of the other two that its
     offset makes redundant on their lens, the region degenerates to that
     pair lens and the pair closed form is returned (this keeps the
-    inclusion-exclusion cancellation exact).  Otherwise the volume is
-    integrated over slices perpendicular to the deepest plane's normal;
-    each slice is a disk cut by at most two halfplanes.
+    inclusion-exclusion cancellation exact).  A plane at negative
+    distance is traded for its complement:
+    triple(p1, p2, (n3, d3)) = pair(p1, p2) - triple(p1, p2, (-n3, -d3)).
+    With every distance >= 0 the region meets the sphere in one convex
+    patch, and the volume is closed form by the divergence theorem,
+    3V = r * A_sphere - sum_i d_i * A_face_i, with A_sphere from
+    Gauss-Bonnet on the intersection of three caps and each A_face the
+    disk of one plane cut by the other two.  The terms are of size r^3,
+    so the error is a few ulps of r^3 (more for thin caps): a tiny
+    volume is exact in absolute, not in relative terms.
     """
     if not (r >= 0.0) or not math.isfinite(r):
         raise ValueError(f"radius must be finite and >= 0, got {r}")
@@ -333,72 +472,15 @@ def cap_triple_intersection_volume(r: float, plane1, plane2, plane3) -> float:
                     r, (normals[i], dists[i]), (normals[j], dists[j]))
     if _activation_radius(np.array(normals), np.array(dists)) >= r:
         return 0.0
-
-    # slice along the deepest plane's normal
-    order = sorted(range(3), key=lambda t: -dists[t])
-    ns = normals[order[0]]
-    t_lo, t_hi = dists[order[0]], r
-    # in-slice orthonormal frame
-    pick = np.eye(3)[int(np.argmin(np.abs(ns)))]
-    f1 = pick - float(pick @ ns) * ns
-    f1 /= np.linalg.norm(f1)
-    f2 = np.cross(ns, f1)
-
-    folded = []
-    breaks = []
-    for t_idx in order[1:]:
-        ni, di = normals[t_idx], dists[t_idx]
-        ci = float(ni @ ns)
-        perp = ni - ci * ns
-        si = float(np.linalg.norm(perp))
-        if si < 1e-12:
-            # constraint is collinear with the slice axis
-            if ci > 0.0:
-                t_lo = max(t_lo, di / ci)
-            else:
-                t_hi = min(t_hi, di / ci)
-            continue
-        u = (float(perp @ f1) / si, float(perp @ f2) / si)
-        folded.append((u, ci, si, di))
-        disc = r * r - di * di
-        if disc > 0.0:
-            root = si * math.sqrt(disc)
-            breaks.extend([di * ci - root, di * ci + root])
-    if len(folded) == 2:
-        # track where the two in-slice lines' vertex crosses the circle
-        (ua, ca, sa, da), (ub, cb, sb, db) = folded
-        det = ua[0] * ub[1] - ua[1] * ub[0]
-        if abs(det) > 1e-12:
-            # e_i(t) = (d_i - t c_i) / s_i is linear in t
-            pa, qa = da / sa, -ca / sa
-            pb, qb = db / sb, -cb / sb
-            px = (pa * ub[1] - pb * ua[1]) / det
-            py = (ua[0] * pb - ub[0] * pa) / det
-            qx = (qa * ub[1] - qb * ua[1]) / det
-            qy = (ua[0] * qb - ub[0] * qa) / det
-            aa = qx * qx + qy * qy + 1.0
-            bb = 2.0 * (px * qx + py * qy)
-            cc = px * px + py * py - r * r
-            disc = bb * bb - 4.0 * aa * cc
-            if disc > 0.0:
-                sq = math.sqrt(disc)
-                breaks.extend([(-bb - sq) / (2.0 * aa),
-                               (-bb + sq) / (2.0 * aa)])
-    if t_hi <= t_lo:
-        return 0.0
-
-    def integrand(t: float) -> float:
-        rho2 = r * r - t * t
-        if rho2 <= 0.0:
-            return 0.0
-        rho = math.sqrt(rho2)
-        cons = [(u, (di - t * ci) / si) for u, ci, si, di in folded]
-        return _slice_area(rho, cons)
-
-    points = sorted({b for b in breaks if t_lo < b < t_hi})
-    val, _ = quad(integrand, t_lo, t_hi, points=points or None,
-                  limit=200, epsabs=1e-12, epsrel=1e-10)
-    return max(val, 0.0)
+    for k in range(3):
+        if dists[k] < 0.0:
+            i, j = [t for t in range(3) if t != k]
+            pi, pj = (normals[i], dists[i]), (normals[j], dists[j])
+            return max(0.0, cap_pair_intersection_volume(r, pi, pj)
+                       - cap_triple_intersection_volume(
+                           r, pi, pj, (-normals[k], -dists[k])))
+    return max(_triple_divergence(
+        r, [tuple(float(x) for x in n) for n in normals], dists), 0.0)
 
 
 # -- the cap arrangement of a cell -------------------------------------------
@@ -433,12 +515,31 @@ class Vertex:
 
 
 @dataclass(frozen=True)
+class TermOrbit:
+    """Face pairs or triples that the cell isometries map onto each other.
+
+    members are face index tuples in index order, so members[0] is the
+    representative; every member shares the activation distance and the
+    cap intersection volume.
+    """
+
+    members: tuple
+    activation: float
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+
+@dataclass(frozen=True)
 class CapArrangement:
     """Faces, edges and vertices of a cell, plus the activation tables.
 
     pair_terms and triple_terms list every face pair / triple whose
     halfspace intersection comes within 1.02x the covering radius, with
-    its activation distance; inclusion-exclusion walks these tables.
+    its activation distance.  pair_orbits and triple_orbits group the
+    same terms into symmetry orbits; inclusion-exclusion evaluates one
+    representative per orbit and weights it by the orbit size.
     degenerate flags deltas within 1e-9 of 1, where the face count
     changes and four-fold contacts make the combinatorics unstable.
     """
@@ -450,6 +551,8 @@ class CapArrangement:
     vertices: tuple
     pair_terms: tuple
     triple_terms: tuple
+    pair_orbits: tuple
+    triple_orbits: tuple
 
     def plane_distance_multiset(self):
         """Face distances with multiplicities, as {distance: count}."""
@@ -500,6 +603,51 @@ def _line_foot(n1: np.ndarray, d1: float, n2: np.ndarray, d2: float):
     if det < 1e-14:
         return None
     return ((d1 - a * d2) * n1 + (d2 - a * d1) * n2) / det
+
+
+def _face_images(planes) -> list:
+    """Face index of the image of each face under each cell isometry.
+
+    P B = B P for every coordinate permutation P, and -B v = B (-v), so
+    the permutations and the central inversion map L_delta onto itself
+    and act on face coefficient vectors.  An image that is not itself a
+    face (possible only through rounding in the face search) is None.
+    """
+    index = {p.coeffs: i for i, p in enumerate(planes)}
+    return [[index.get(tuple(sign * p.coeffs[q] for q in perm))
+             for p in planes]
+            for perm in itertools.permutations(range(3))
+            for sign in (1, -1)]
+
+
+def _term_orbits(images, size: int, normals: np.ndarray,
+                 dists: np.ndarray, cutoff: float) -> tuple:
+    """Orbits of the face pairs (size 2) or triples (size 3) whose
+    activation lies below cutoff; a term with a face lacking an image
+    is an orbit of its own."""
+    lost = {i for img in images for i, j in enumerate(img) if j is None}
+    orbits = []
+    seen = set()
+    for term in itertools.combinations(range(len(dists)), size):
+        if term in seen:
+            continue
+        members = {term}
+        if lost.isdisjoint(term):
+            members.update(tuple(sorted(img[t] for t in term))
+                           for img in images)
+        seen |= members
+        idx = list(term)
+        act = _activation_radius(normals[idx], dists[idx])
+        if act < cutoff:
+            orbits.append(TermOrbit(members=tuple(sorted(members)),
+                                    activation=act))
+    return tuple(orbits)
+
+
+def _flatten(orbits) -> tuple:
+    """Per-term table (*face indices, activation) in index order."""
+    return tuple(sorted(term + (orb.activation,)
+                        for orb in orbits for term in orb.members))
 
 
 @lru_cache(maxsize=64)
@@ -594,26 +742,21 @@ def _build_arrangement(delta: float) -> CapArrangement:
                valence=int(np.sum(np.abs(normals @ x - dists) < 1e-8)))
         for x in verts)
 
-    # activation tables for inclusion-exclusion
+    # activation tables for inclusion-exclusion, one activation per orbit
     cutoff = cov * 1.02
-    pair_terms = []
-    for i, j in itertools.combinations(range(npl), 2):
-        act = _activation_radius(normals[[i, j]], dists[[i, j]])
-        if act < cutoff:
-            pair_terms.append((i, j, act))
-    triple_terms = []
-    for i, j, k in itertools.combinations(range(npl), 3):
-        act = _activation_radius(normals[[i, j, k]], dists[[i, j, k]])
-        if act < cutoff:
-            triple_terms.append((i, j, k, act))
+    images = _face_images(plane_objs)
+    pair_orbits = _term_orbits(images, 2, normals, dists, cutoff)
+    triple_orbits = _term_orbits(images, 3, normals, dists, cutoff)
 
     return CapArrangement(delta=delta,
                           degenerate=abs(delta - 1.0) < 1e-9,
                           planes=plane_objs,
                           edges=tuple(edges),
                           vertices=vertex_objs,
-                          pair_terms=tuple(pair_terms),
-                          triple_terms=tuple(triple_terms))
+                          pair_terms=_flatten(pair_orbits),
+                          triple_terms=_flatten(triple_orbits),
+                          pair_orbits=pair_orbits,
+                          triple_orbits=triple_orbits)
 
 
 def build_cap_arrangement(delta: float) -> CapArrangement:
@@ -627,20 +770,21 @@ def build_cap_arrangement(delta: float) -> CapArrangement:
 
 
 def _inclusion_exclusion(arr: CapArrangement, r: float) -> float:
-    """Raw cap sum; exact below the first four-plane activation."""
+    """Raw cap sum, one evaluation per orbit times its size; exact below
+    the first four-plane activation."""
     vol = unit_ball_volume(3) * r ** 3
     for p in arr.planes:
         if p.distance < r:
             vol -= spherical_cap_volume(r, p.distance)
-    for i, j, act in arr.pair_terms:
-        if act < r:
-            pi, pj = arr.planes[i], arr.planes[j]
-            vol += cap_pair_intersection_volume(
+    for orb in arr.pair_orbits:
+        if orb.activation < r:
+            pi, pj = (arr.planes[t] for t in orb.members[0])
+            vol += orb.size * cap_pair_intersection_volume(
                 r, (pi.normal, pi.distance), (pj.normal, pj.distance))
-    for i, j, k, act in arr.triple_terms:
-        if act < r:
-            pi, pj, pk = arr.planes[i], arr.planes[j], arr.planes[k]
-            vol -= cap_triple_intersection_volume(
+    for orb in arr.triple_orbits:
+        if orb.activation < r:
+            pi, pj, pk = (arr.planes[t] for t in orb.members[0])
+            vol -= orb.size * cap_triple_intersection_volume(
                 r, (pi.normal, pi.distance), (pj.normal, pj.distance),
                 (pk.normal, pk.distance))
     return vol

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +21,9 @@ from overlatt.geometry3d import (
     vol_overlap_3d,
     voronoi_ball_volume_3d,
     _activation_radius,
+    _face_images,
     _inclusion_exclusion,
+    _term_orbits,
 )
 from overlatt.lattice import (
     DistortedLattice,
@@ -199,6 +204,60 @@ class TestCapPair:
             assert abs(closed - est.mean) <= 3.5 * max(est.std_error, 1e-9)
 
 
+# band vertex cones for delta > 1: the diagonal apex and one of the six
+# other three-valent vertices, as face coefficient vectors
+APEX = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+SIDE = ((1, -1, 0), (1, 0, -1), (1, 0, 0))
+
+# (delta, cone, f, volume) with r = s1 + f * (s2 - s1), as computed by
+# the adaptive slice integral (scipy quad, epsrel 1e-10) that the closed
+# form replaced
+BAND_VALUES = (
+    (1.2, APEX, 0.25, 4.009787372202067e-06),
+    (1.2, APEX, 0.5, 3.1526898712590596e-05),
+    (1.2, APEX, 0.9, 0.00017925366383382606),
+    (1.2, SIDE, 0.3, 0.000317674790014737),
+    (1.2, SIDE, 0.7, 0.0013423095583560702),
+    (1.5, APEX, 0.25, 3.477495874725551e-05),
+    (1.5, APEX, 0.5, 0.0002664904722132767),
+    (1.5, APEX, 0.9, 0.0014667398487665912),
+    (1.5, SIDE, 0.3, 0.00018424236381999967),
+    (1.5, SIDE, 0.7, 0.001792827478089223),
+    (2.0, APEX, 0.25, 0.00011772307179370203),
+    (2.0, APEX, 0.5, 0.000870574240733625),
+    (2.0, APEX, 0.9, 0.004600358806149844),
+    (2.0, SIDE, 0.3, 0.00019997039748511467),
+    (2.0, SIDE, 0.7, 0.0022663436990378112),
+    (3.0, APEX, 0.25, 0.00023491552101950324),
+    (3.0, APEX, 0.5, 0.001661285805508624),
+    (3.0, APEX, 0.9, 0.008359006040865237),
+    (3.0, SIDE, 0.3, 0.00021283723195581565),
+    (3.0, SIDE, 0.7, 0.0023313647738423464),
+)
+
+# the same integral close to the apex, where the volume is tiny
+NEAR_APEX_VALUES = (
+    (1.2, APEX, 0.1, 2.5947117024192896e-07),
+    (1.5, APEX, 0.1, 2.2914282952666536e-06),
+    (2.0, APEX, 0.1, 7.974868189051289e-06),
+    (3.0, APEX, 0.1, 1.6517449116626777e-05),
+)
+
+
+def _face_plane(lat, coeffs):
+    p = lat.basis @ np.array(coeffs, dtype=float)
+    nrm = float(np.linalg.norm(p))
+    return (p / nrm, nrm / 2.0)
+
+
+def _band_volume(delta, cone, frac):
+    lat = DistortedLattice(3, delta)
+    dr = dual_radii_3d(delta)
+    r = dr.s1 + frac * (dr.s2 - dr.s1)
+    return cap_triple_intersection_volume(
+        r, *[_face_plane(lat, c) for c in cone])
+
+
 class TestCapTriple:
     def test_octant(self):
         v = cap_triple_intersection_volume(
@@ -260,6 +319,64 @@ class TestCapTriple:
         est = mc_volume_region(r, planes, samples=400_000, seed=77)
         assert closed > 0.0
         assert abs(closed - est.mean) <= 3.5 * max(est.std_error, 1e-9)
+
+    def test_apex_cone_pinned(self):
+        lat = DistortedLattice(3, 2.0)
+        planes = []
+        for i in range(3):
+            b = lat.basis[:, i]
+            planes.append((b / np.linalg.norm(b), np.linalg.norm(b) / 2.0))
+        v = cap_triple_intersection_volume(0.95, *planes)
+        assert v == pytest.approx(0.0016572951407492905, rel=1e-10)
+
+    @pytest.mark.parametrize("delta, cone, frac, expected", BAND_VALUES)
+    def test_band_values_pinned(self, delta, cone, frac, expected):
+        assert _band_volume(delta, cone, frac) == pytest.approx(
+            expected, rel=1e-10)
+
+    @pytest.mark.parametrize("delta, cone, frac, expected", NEAR_APEX_VALUES)
+    def test_near_apex_values_absolute(self, delta, cone, frac, expected):
+        # the closed form is a difference of terms of size r^3 (about 1
+        # here), so near the apex its error is some 1e-15 absolute, which
+        # is not small relative to the tiny volume
+        assert abs(_band_volume(delta, cone, frac) - expected) < 1e-14
+
+    def test_negative_distance_against_oracle(self):
+        # two planes beyond the center and one behind it: the closed form
+        # goes through pair(p1, p2) - triple(p1, p2, (-n3, -d3))
+        n = np.array([[0.8, 0.6, 0.0], [0.0, 0.6, 0.8], [-0.6, 0.0, 0.8]])
+        d = np.array([0.25, 0.15, -0.3])
+        closed = cap_triple_intersection_volume(
+            1.0, (n[0], d[0]), (n[1], d[1]), (n[2], d[2]))
+        est = mc_volume_region(1.0, list(zip(n, d)), samples=400_000,
+                               seed=91)
+        lens = cap_pair_intersection_volume(1.0, (n[0], d[0]), (n[1], d[1]))
+        assert 0.0 < closed < lens
+        assert abs(closed - est.mean) <= 3.5 * max(est.std_error, 1e-9)
+
+    def test_three_circles_through_one_point(self):
+        # the three cap circles meet in one point of the unit sphere, so
+        # two arcs end there on every circle
+        n = [np.array(v) / np.linalg.norm(v)
+             for v in ((-1.0, -1.0, -1.0), (0.0, 1.0, 1.0), (-1.0, 0.0, 1.0))]
+        d = (0.0, 0.0, 0.5)
+        closed = cap_triple_intersection_volume(1.0, *zip(n, d))
+        q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+        turned = cap_triple_intersection_volume(
+            1.0, *zip([q @ x for x in n], d))
+        assert turned == pytest.approx(closed, abs=1e-14)
+        est = mc_volume_region(1.0, list(zip(n, d)), samples=400_000,
+                               seed=92)
+        assert abs(closed - est.mean) <= 3.5 * max(est.std_error, 1e-9)
+
+    def test_opposite_planes_through_center_are_empty(self):
+        s = math.sqrt(0.5)
+        n = np.array([0.0, s, -s])
+        assert cap_triple_intersection_volume(
+            1.0, (n, 0.0), (-n, 0.0), (-EX, 0.3)) == 0.0
+        # through the complement of a plane behind the center
+        assert cap_triple_intersection_volume(
+            1.0, (n, 0.0), (EY, -0.6), (-n, 0.0)) == 0.0
 
 
 class TestCapArrangement:
@@ -388,6 +505,97 @@ class TestCapArrangement:
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 build_cap_arrangement(bad)
+
+
+ORBIT_DELTAS = (0.2, 0.5, 0.9, 1.0, 1.0 - 1e-10, 1.0 + 1e-10, 1.2, 2.0, 3.0,
+                20.0)
+
+
+def _per_term_sum(arr, r):
+    """Inclusion-exclusion over every table term, without orbits."""
+    vol = V3 * r ** 3
+    for p in arr.planes:
+        if p.distance < r:
+            vol -= spherical_cap_volume(r, p.distance)
+    for *idx, act in arr.pair_terms:
+        if act < r:
+            vol += cap_pair_intersection_volume(
+                r, *[(arr.planes[t].normal, arr.planes[t].distance)
+                     for t in idx])
+    for *idx, act in arr.triple_terms:
+        if act < r:
+            vol -= cap_triple_intersection_volume(
+                r, *[(arr.planes[t].normal, arr.planes[t].distance)
+                     for t in idx])
+    return vol
+
+
+class TestTermOrbits:
+    @pytest.mark.parametrize("delta", ORBIT_DELTAS)
+    def test_orbits_partition_the_tables(self, delta):
+        arr = build_cap_arrangement(delta)
+        for orbits, terms in ((arr.pair_orbits, arr.pair_terms),
+                              (arr.triple_orbits, arr.triple_terms)):
+            assert sum(o.size for o in orbits) == len(terms)
+            members = sorted(m for o in orbits for m in o.members)
+            assert members == [tuple(t[:-1]) for t in terms]
+            assert len(orbits) < len(terms)
+
+    @pytest.mark.parametrize("delta", ORBIT_DELTAS)
+    def test_members_share_activation(self, delta):
+        arr = build_cap_arrangement(delta)
+        normals = np.array([p.normal for p in arr.planes])
+        dists = np.array([p.distance for p in arr.planes])
+        for orb in arr.pair_orbits + arr.triple_orbits:
+            for m in orb.members:
+                act = _activation_radius(normals[list(m)], dists[list(m)])
+                assert abs(act - orb.activation) < 1e-12
+
+    @pytest.mark.parametrize("delta", ORBIT_DELTAS)
+    def test_union_matches_per_term_sum(self, delta):
+        arr = build_cap_arrangement(delta)
+        lat = DistortedLattice(3, delta)
+        pack, cov = packing_radius(lat), covering_radius(lat)
+        for r in np.linspace(pack, cov, 9)[1:-1]:
+            r = float(r)
+            ref = _per_term_sum(arr, r)
+            assert voronoi_ball_volume_3d(delta, r) == pytest.approx(
+                ref, rel=1e-13)
+
+    def test_face_without_image_is_its_own_orbit(self):
+        # drop one face, as a rounding slip in the face search would: the
+        # faces whose images include it keep only singleton orbits
+        arr = build_cap_arrangement(0.5)
+        planes = arr.planes[:-1]
+        normals = np.array([p.normal for p in planes])
+        dists = np.array([p.distance for p in planes])
+        cutoff = covering_radius(DistortedLattice(3, 0.5)) * 1.02
+        images = _face_images(planes)
+        lost = {i for img in images for i, j in enumerate(img) if j is None}
+        assert lost
+        orbits = _term_orbits(images, 2, normals, dists, cutoff)
+        live = [t for t in itertools.combinations(range(len(planes)), 2)
+                if _activation_radius(normals[list(t)],
+                                      dists[list(t)]) < cutoff]
+        assert sorted(m for o in orbits for m in o.members) == live
+        for orb in orbits:
+            if lost.intersection(*orb.members):
+                assert orb.size == 1
+            else:
+                assert orb.size > 1
+
+
+def test_import_does_not_load_scipy():
+    import overlatt
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        overlatt.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, overlatt; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 class TestVoronoiBallVolume:
