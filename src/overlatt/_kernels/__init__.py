@@ -1,31 +1,18 @@
 """Counting kernels for the Monte Carlo estimators.
 
-Two interchangeable backends: a Cython extension and a numpy fallback.
-Both implement the same fixed evaluation order (squares accumulated
-coordinate by coordinate, contraction disabled in the extension), so
-their counts agree bit for bit and results never depend on which one
-got picked.  Set OVERLATT_KERNEL=numpy or =cython to force a backend.
+Two interchangeable backends: a Cython extension, used when it is built
+and importable, and a numpy fallback.  Both implement the same fixed
+evaluation order (squares accumulated coordinate by coordinate,
+contraction disabled in the extension), so their counts agree bit for
+bit and results never depend on which one got picked.
 """
 
-import os
-
-from . import _mc_np
-
-_FORCE = os.environ.get("OVERLATT_KERNEL", "").strip().lower()
-
-if _FORCE == "numpy":
-    _impl = _mc_np
-    BACKEND = "numpy"
-elif _FORCE == "cython":
-    from . import _mc_cy as _impl  # noqa: F401  (raises if not built)
+try:
+    from . import _mc_cy as _impl
     BACKEND = "cython"
-else:
-    try:
-        from . import _mc_cy as _impl
-        BACKEND = "cython"
-    except ImportError:
-        _impl = _mc_np
-        BACKEND = "numpy"
+except ImportError:
+    from . import _mc_np as _impl
+    BACKEND = "numpy"
 
 count_covered = _impl.count_covered
 count_beyond_all_planes = _impl.count_beyond_all_planes

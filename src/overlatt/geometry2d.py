@@ -56,8 +56,10 @@ def segment_angles(delta: float, r: float) -> tuple[float, float]:
     """
     if not (r >= 0.0) or not math.isfinite(r):
         raise ValueError(f"radius must be finite and >= 0, got {r}")
-    rad = critical_radii_2d(delta)
+    return _segment_angles(critical_radii_2d(delta), r)
 
+
+def _segment_angles(rad: CriticalRadii2D, r: float) -> tuple[float, float]:
     def angle(ri: float) -> float:
         if r <= ri:
             return 0.0
@@ -83,7 +85,7 @@ def voronoi_ball_area(delta: float, r: float) -> float:
     if r <= min(rad.r1, rad.r2):
         return math.pi * r * r
     if r <= rad.r3:
-        t1, t2 = segment_angles(delta, r)
+        t1, t2 = _segment_angles(rad, r)
         return r * r * (math.pi - 2.0 * t1 - t2
                         + 2.0 * math.sin(t1) + math.sin(t2))
     return delta

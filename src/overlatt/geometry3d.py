@@ -1,10 +1,20 @@
 """3D cell-ball volumes via spherical caps and their intersections.
 
-For 0 < delta <= 1 the Voronoi cell has 14 faces (6 from the +-basis
+For 0 < delta < 1 the Voronoi cell has 14 faces (6 from the +-basis
 columns at r1, 6 from +-column pair sums at r2, 2 from the +-diagonal at
 r3), 36 edges in five subtypes at r4 and r5, and 24 vertices at r6, the
-covering radius.  For delta > 1 the cell has 12 faces and the vertices
-split into two apexes at s1 and six four-valent vertices at s2.
+covering radius.  At delta = 1 it is the cube.  For delta > 1 the cell
+has 12 faces (the +-columns and the +-column differences), and the
+vertices split into two apexes and six side vertices at s1 and six
+four-valent vertices at s2.
+
+The arrangement is built from this catalog, written in integer
+coefficient vectors: a few representative faces and vertices (each
+vertex as the set of faces through it) per regime, expanded under the
+cell isometries.  Faces, vertex incidences and edges (face pairs through
+two common vertices) are therefore exact; only the face normals and
+distances, the vertex positions and the activation radii are computed in
+floating point.  Deltas within 1e-9 of 1 take the cube.
 
 vol(cell ∩ ball) is computed by inclusion-exclusion over the face caps:
 ball volume, minus caps, plus pairwise cap intersections, minus triple
@@ -29,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -446,6 +457,8 @@ def cap_triple_intersection_volume(r: float, plane1, plane2, plane3) -> float:
     """
     if not (r >= 0.0) or not math.isfinite(r):
         raise ValueError(f"radius must be finite and >= 0, got {r}")
+    # a numpy scalar radius would make the arc flags numpy bools
+    r = float(r)
     planes = [(plane1[0], float(plane1[1])), (plane2[0], float(plane2[1])),
               (plane3[0], float(plane3[1]))]
     normals = [_unit_normal(nrm) for nrm, _ in planes]
@@ -493,7 +506,6 @@ class Plane:
     coeffs: tuple
     normal: np.ndarray = field(compare=False)
     distance: float = 0.0
-    multiplicity: int = 0
 
 
 @dataclass(frozen=True)
@@ -540,8 +552,8 @@ class CapArrangement:
     its activation distance.  pair_orbits and triple_orbits group the
     same terms into symmetry orbits; inclusion-exclusion evaluates one
     representative per orbit and weights it by the orbit size.
-    degenerate flags deltas within 1e-9 of 1, where the face count
-    changes and four-fold contacts make the combinatorics unstable.
+    degenerate flags deltas within 1e-9 of 1, where the cell is taken
+    to be the cube.
     """
 
     delta: float
@@ -597,44 +609,54 @@ def _coeff_type(v) -> int:
 
 
 def _line_foot(n1: np.ndarray, d1: float, n2: np.ndarray, d2: float):
-    """Least-norm point on the intersection line of two planes."""
+    """Least-norm point on the intersection line of two nonparallel planes."""
     a = float(n1 @ n2)
-    det = 1.0 - a * a
-    if det < 1e-14:
-        return None
-    return ((d1 - a * d2) * n1 + (d2 - a * d1) * n2) / det
+    return ((d1 - a * d2) * n1 + (d2 - a * d1) * n2) / (1.0 - a * a)
 
 
-def _face_images(planes) -> list:
-    """Face index of the image of each face under each cell isometry.
+# The cell isometries: the coordinate permutations, each with and without
+# the central inversion.  P B = B P and -B v = B (-v), so they map L_delta
+# onto itself and act on the integer coefficient vectors of the faces.
+_ISOMETRIES = tuple((perm, sign)
+                    for perm in itertools.permutations(range(3))
+                    for sign in (1, -1))
 
-    P B = B P for every coordinate permutation P, and -B v = B (-v), so
-    the permutations and the central inversion map L_delta onto itself
-    and act on face coefficient vectors.  An image that is not itself a
-    face (possible only through rounding in the face search) is None.
-    """
-    index = {p.coeffs: i for i, p in enumerate(planes)}
-    return [[index.get(tuple(sign * p.coeffs[q] for q in perm))
-             for p in planes]
-            for perm in itertools.permutations(range(3))
-            for sign in (1, -1)]
+
+def _image(coeffs, isometry) -> tuple:
+    perm, sign = isometry
+    return tuple(sign * coeffs[q] for q in perm)
+
+
+# Face and vertex representatives of the cell in each regime, in integer
+# coefficient vectors; the isometries expand them to the whole cell.  A
+# vertex is given by the set of faces through it.
+_CATALOG = {
+    # 14 faces, one +- pair per nonzero class of Z^3 / 2Z^3; 24 vertices
+    "below": (((-1, 0, 0), (-1, -1, 0), (-1, -1, -1)),
+              (((-1, 0, 0), (-1, -1, 0), (-1, -1, -1)),
+               ((-1, 0, 0), (-1, -1, 0), (0, 0, 1)))),
+    # the cube: 6 column faces, 8 corners
+    "cube": (((-1, 0, 0),),
+             (((-1, 0, 0), (0, -1, 0), (0, 0, -1)),
+              ((-1, 0, 0), (0, -1, 0), (0, 0, 1)))),
+    # 12 faces; 6 side vertices and 2 apexes at s1, 6 four-valent at s2
+    "above": (((-1, 0, 0), (-1, 1, 0)),
+              (((-1, 0, 0), (-1, 1, 0), (-1, 0, 1)),
+               ((-1, 0, 0), (0, -1, 0), (0, 0, -1)),
+               ((-1, 0, 0), (-1, 0, 1), (0, -1, 0), (0, -1, 1)))),
+}
 
 
 def _term_orbits(images, size: int, normals: np.ndarray,
                  dists: np.ndarray, cutoff: float) -> tuple:
     """Orbits of the face pairs (size 2) or triples (size 3) whose
-    activation lies below cutoff; a term with a face lacking an image
-    is an orbit of its own."""
-    lost = {i for img in images for i, j in enumerate(img) if j is None}
+    activation lies below cutoff."""
     orbits = []
     seen = set()
     for term in itertools.combinations(range(len(dists)), size):
         if term in seen:
             continue
-        members = {term}
-        if lost.isdisjoint(term):
-            members.update(tuple(sorted(img[t] for t in term))
-                           for img in images)
+        members = {tuple(sorted(img[t] for t in term)) for img in images}
         seen |= members
         idx = list(term)
         act = _activation_radius(normals[idx], dists[idx])
@@ -653,106 +675,59 @@ def _flatten(orbits) -> tuple:
 @lru_cache(maxsize=64)
 def _build_arrangement(delta: float) -> CapArrangement:
     lat = DistortedLattice(3, delta)
-    basis_t = lat.basis.T
-    cov = covering_radius(lat)
+    degenerate = abs(delta - 1.0) < 1e-9
+    face_reps, vertex_reps = _CATALOG[
+        "cube" if degenerate else "below" if delta < 1.0 else "above"]
 
-    # face determination: Bv/2 must be strictly closer to 0 (and Bv) than
-    # to every other lattice point in the window; ties mean the contact
-    # is lower-dimensional and v is not a face
-    coeffs = np.array([c for c in itertools.product((-2, -1, 0, 1, 2),
-                                                    repeat=3)
-                       if c != (0, 0, 0)], dtype=float)
-    pts = coeffs @ basis_t
+    # faces in lexicographic coefficient order; the face of B c lies at
+    # half its norm
+    coeffs = sorted({_image(c, g) for c in face_reps for g in _ISOMETRIES})
+    pts = np.array(coeffs, dtype=float) @ lat.basis.T
     planes = []
-    for v, p in zip(coeffs, pts):
-        mid = p / 2.0
-        d2_all = np.einsum("ij,ij->i", pts - mid, pts - mid)
-        d2_all[np.all(coeffs == v, axis=1)] = np.inf
-        mid2 = float(mid @ mid)
-        gap = float(d2_all.min()) - mid2
-        if gap > 1e-9 * max(1.0, mid2):
-            nrm = float(np.linalg.norm(p))
-            planes.append((tuple(int(x) for x in v), p / nrm, nrm / 2.0))
+    for c, p in zip(coeffs, pts):
+        nrm = float(np.linalg.norm(p))
+        planes.append(Plane(coeffs=c, normal=p / nrm, distance=nrm / 2.0))
+    planes = tuple(planes)
+    normals = np.array([p.normal for p in planes])
+    dists = np.array([p.distance for p in planes])
 
-    by_dist = {}
-    for _, _, d in planes:
-        key = round(d, 9)
-        by_dist[key] = by_dist.get(key, 0) + 1
-    plane_objs = tuple(
-        Plane(coeffs=c, normal=n, distance=d,
-              multiplicity=by_dist[round(d, 9)])
-        for c, n, d in planes)
+    # vertices as sorted face index tuples; any three faces of a vertex
+    # are independent and fix its position
+    index = {c: i for i, c in enumerate(coeffs)}
+    incidences = sorted({tuple(sorted(index[_image(c, g)] for c in rep))
+                         for rep in vertex_reps for g in _ISOMETRIES})
+    vertices = []
+    for faces in incidences:
+        first = list(faces[:3])
+        x = np.linalg.solve(normals[first], dists[first])
+        vertices.append(Vertex(position=x, distance=float(np.linalg.norm(x)),
+                               valence=len(faces)))
 
-    normals = np.array([p.normal for p in plane_objs])
-    dists = np.array([p.distance for p in plane_objs])
-    npl = len(plane_objs)
-
-    # cell edges: face pairs whose plane intersection line, clipped by the
-    # remaining halfspaces, leaves a segment of positive length (a line
-    # only touching a four-valent vertex is not an edge)
-    tol = 1e-9
+    # edges: face pairs through two common vertices (the diagonal pairs
+    # of a four-valent vertex share only that vertex)
+    shared = Counter(pair for faces in incidences
+                     for pair in itertools.combinations(faces, 2))
     edges = []
-    for i, j in itertools.combinations(range(npl), 2):
+    for i, j in sorted(pair for pair, k in shared.items() if k == 2):
         foot = _line_foot(normals[i], dists[i], normals[j], dists[j])
-        if foot is None:
-            continue
-        direction = np.cross(normals[i], normals[j])
-        direction /= np.linalg.norm(direction)
-        t_lo, t_hi = -math.inf, math.inf
-        for k in range(npl):
-            if k == i or k == j:
-                continue
-            num = dists[k] - float(foot @ normals[k])
-            den = float(direction @ normals[k])
-            if abs(den) < 1e-14:
-                if num < -tol:
-                    t_lo, t_hi = math.inf, -math.inf
-                    break
-                continue
-            t = num / den
-            if den > 0.0:
-                t_hi = min(t_hi, t)
-            else:
-                t_lo = max(t_lo, t)
-        if t_hi - t_lo > 1e-8:
-            ti = _coeff_type(plane_objs[i].coeffs)
-            tj = _coeff_type(plane_objs[j].coeffs)
-            tdiff = _coeff_type(np.subtract(plane_objs[i].coeffs,
-                                            plane_objs[j].coeffs))
-            tag = f"{min(ti, tj)}{max(ti, tj)}|{tdiff}"
-            edges.append(Edge(planes=(i, j),
-                              distance=float(np.linalg.norm(foot)),
-                              subtype=tag))
+        ti, tj = _coeff_type(coeffs[i]), _coeff_type(coeffs[j])
+        tdiff = _coeff_type(np.subtract(coeffs[i], coeffs[j]))
+        edges.append(Edge(planes=(i, j),
+                          distance=float(np.linalg.norm(foot)),
+                          subtype=f"{min(ti, tj)}{max(ti, tj)}|{tdiff}"))
 
-    # cell vertices: feasible triple intersections, deduplicated
-    raw_verts = []
-    for i, j, k in itertools.combinations(range(npl), 3):
-        a = normals[[i, j, k]]
-        if abs(np.linalg.det(a)) < 1e-10:
-            continue
-        x = np.linalg.solve(a, dists[[i, j, k]])
-        if np.all(normals @ x - dists <= tol):
-            raw_verts.append(x)
-    verts = []
-    for x in raw_verts:
-        if all(np.linalg.norm(x - y) > 1e-8 for y in verts):
-            verts.append(x)
-    vertex_objs = tuple(
-        Vertex(position=x, distance=float(np.linalg.norm(x)),
-               valence=int(np.sum(np.abs(normals @ x - dists) < 1e-8)))
-        for x in verts)
-
-    # activation tables for inclusion-exclusion, one activation per orbit
-    cutoff = cov * 1.02
-    images = _face_images(plane_objs)
+    # activation tables for inclusion-exclusion, one activation per orbit;
+    # images[g][i] is the face that isometry g maps face i to
+    cutoff = covering_radius(lat) * 1.02
+    images = [[index[_image(c, g)] for c in coeffs] for g in _ISOMETRIES]
     pair_orbits = _term_orbits(images, 2, normals, dists, cutoff)
     triple_orbits = _term_orbits(images, 3, normals, dists, cutoff)
 
     return CapArrangement(delta=delta,
-                          degenerate=abs(delta - 1.0) < 1e-9,
-                          planes=plane_objs,
+                          degenerate=degenerate,
+                          planes=planes,
                           edges=tuple(edges),
-                          vertices=vertex_objs,
+                          vertices=tuple(vertices),
                           pair_terms=_flatten(pair_orbits),
                           triple_terms=_flatten(triple_orbits),
                           pair_orbits=pair_orbits,

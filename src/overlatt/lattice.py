@@ -9,8 +9,8 @@ so det B = delta and the Voronoi cell has volume delta for every n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -50,17 +50,20 @@ class DistortedLattice:
 
     n: int
     delta: float
-    basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"dimension must be >= 2, got {self.n}")
         if not (self.delta > 0.0) or not math.isfinite(self.delta):
             raise ValueError(f"distortion must be positive, got {self.delta}")
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The read-only basis matrix, built on first use."""
         a = (self.delta - 1.0) / self.n
         basis = np.eye(self.n) + a * np.ones((self.n, self.n))
         basis.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
+        return basis
 
     def __hash__(self):
         return hash((self.n, self.delta))

@@ -115,6 +115,19 @@ class TestVoronoiBallArea:
         assert voronoi_ball_area(1.0, 1.0) == 1.0
         assert voronoi_ball_area(0.3, 5.0) == 0.3
 
+    def test_segment_band_uses_segment_angles(self):
+        # bit for bit the area formula over the public segment angles
+        for delta in np.linspace(0.05, 1.0, 20):
+            delta = float(delta)
+            rad = critical_radii_2d(delta)
+            lo = min(rad.r1, rad.r2)
+            for r in np.linspace(lo, rad.r3, 23)[1:-1]:
+                r = float(r)
+                t1, t2 = segment_angles(delta, r)
+                assert voronoi_ball_area(delta, r) == r * r * (
+                    math.pi - 2.0 * t1 - t2
+                    + 2.0 * math.sin(t1) + math.sin(t2))
+
     def test_against_oracle(self):
         lat = DistortedLattice(2, 0.7)
         est = mc_union(lat, 0.5, samples=400_000, seed=71)

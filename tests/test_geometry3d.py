@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from overlatt.cli import main as cli_main
 from overlatt.geometry3d import (
     CATALOG_COUNTS,
     build_cap_arrangement,
@@ -21,9 +22,7 @@ from overlatt.geometry3d import (
     vol_overlap_3d,
     voronoi_ball_volume_3d,
     _activation_radius,
-    _face_images,
     _inclusion_exclusion,
-    _term_orbits,
 )
 from overlatt.lattice import (
     DistortedLattice,
@@ -378,10 +377,20 @@ class TestCapTriple:
         assert cap_triple_intersection_volume(
             1.0, (n, 0.0), (EY, -0.6), (-n, 0.0)) == 0.0
 
+    def test_numpy_scalar_radius(self):
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            normals = rng.normal(size=(3, 3))
+            normals /= np.linalg.norm(normals, axis=1)[:, None]
+            planes = list(zip(normals, rng.uniform(0.0, 0.9, 3)))
+            assert cap_triple_intersection_volume(
+                np.float64(1.0), *planes) == cap_triple_intersection_volume(
+                    1.0, *planes)
+
 
 class TestCapArrangement:
     def test_counts_below_one(self):
-        for delta in (0.3, 0.9):
+        for delta in (0.3, 0.9, 1.0 - 2e-8, 1.0 - 1e-8, 1.0 - 5e-9):
             arr = build_cap_arrangement(delta)
             assert len(arr.planes) == 14
             assert len(arr.edges) == 36
@@ -399,7 +408,7 @@ class TestCapArrangement:
         assert arr.plane_distance_multiset() == {0.5: 6}
 
     def test_counts_above_one(self):
-        for delta in (1.5, 2.0, 5.0):
+        for delta in (1.0 + 5e-9, 1.0 + 1e-8, 1.0 + 2e-8, 1.5, 2.0, 5.0):
             arr = build_cap_arrangement(delta)
             assert len(arr.planes) == 12
             assert len(arr.edges) == 24
@@ -507,6 +516,67 @@ class TestCapArrangement:
                 build_cap_arrangement(bad)
 
 
+def _relevant_vectors(delta: float, window: int = 3) -> set:
+    """Voronoi-relevant coefficient vectors of L_delta by brute force.
+
+    v is relevant exactly when +-v are the only shortest vectors of the
+    coset v + 2L (Voronoi); every coset is searched over the coefficient
+    window +-window, and a competitor within 1e-9 relative counts as a tie.
+    """
+    lat = DistortedLattice(3, delta)
+    coeffs = np.array(list(itertools.product(range(-window, window + 1),
+                                             repeat=3)))
+    pts = coeffs @ lat.basis.T
+    norm2 = np.einsum("ij,ij->i", pts, pts)
+    out = set()
+    for v, n2 in zip(coeffs, norm2):
+        if not v.any():
+            continue
+        rivals = (np.all((coeffs - v) % 2 == 0, axis=1)
+                  & np.any(coeffs != v, axis=1)
+                  & np.any(coeffs != -v, axis=1))
+        if np.all(norm2[rivals] > n2 * (1.0 + 1e-9)):
+            out.add(tuple(int(x) for x in v))
+    return out
+
+
+CATALOG_DELTAS = [float(d) for d in np.logspace(-3.0, 3.0, 60)]
+
+
+class TestCellCatalog:
+    @pytest.mark.parametrize("delta", CATALOG_DELTAS)
+    def test_faces_match_relevant_vector_search(self, delta):
+        arr = build_cap_arrangement(delta)
+        coeffs = [p.coeffs for p in arr.planes]
+        assert coeffs == sorted(coeffs)
+        assert set(coeffs) == _relevant_vectors(delta)
+        lat = DistortedLattice(3, delta)
+        for p in arr.planes:
+            b = lat.lattice_point(p.coeffs)
+            assert p.distance == pytest.approx(np.linalg.norm(b) / 2.0,
+                                               rel=1e-14)
+
+    @pytest.mark.parametrize("delta", CATALOG_DELTAS)
+    def test_vertices_lie_on_exactly_their_faces(self, delta):
+        arr = build_cap_arrangement(delta)
+        normals = np.array([p.normal for p in arr.planes])
+        dists = np.array([p.distance for p in arr.planes])
+        tol = 1e-9 * max(1.0, float(dists.max()))
+        for v in arr.vertices:
+            slack = normals @ v.position - dists
+            assert float(slack.max()) < tol
+            assert int(np.sum(np.abs(slack) < tol)) == v.valence
+        cov = covering_radius(DistortedLattice(3, delta))
+        assert max(v.distance for v in arr.vertices) == pytest.approx(
+            cov, rel=1e-12)
+
+    def test_radii_command_next_to_one(self, capsys):
+        assert cli_main(["radii", "--dim", "3", "--delta", "0.99999999"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "edges 36" in lines
+        assert "vertices 0.866025395 x24" in lines
+
+
 ORBIT_DELTAS = (0.2, 0.5, 0.9, 1.0, 1.0 - 1e-10, 1.0 + 1e-10, 1.2, 2.0, 3.0,
                 20.0)
 
@@ -561,28 +631,6 @@ class TestTermOrbits:
             ref = _per_term_sum(arr, r)
             assert voronoi_ball_volume_3d(delta, r) == pytest.approx(
                 ref, rel=1e-13)
-
-    def test_face_without_image_is_its_own_orbit(self):
-        # drop one face, as a rounding slip in the face search would: the
-        # faces whose images include it keep only singleton orbits
-        arr = build_cap_arrangement(0.5)
-        planes = arr.planes[:-1]
-        normals = np.array([p.normal for p in planes])
-        dists = np.array([p.distance for p in planes])
-        cutoff = covering_radius(DistortedLattice(3, 0.5)) * 1.02
-        images = _face_images(planes)
-        lost = {i for img in images for i, j in enumerate(img) if j is None}
-        assert lost
-        orbits = _term_orbits(images, 2, normals, dists, cutoff)
-        live = [t for t in itertools.combinations(range(len(planes)), 2)
-                if _activation_radius(normals[list(t)],
-                                      dists[list(t)]) < cutoff]
-        assert sorted(m for o in orbits for m in o.members) == live
-        for orb in orbits:
-            if lost.intersection(*orb.members):
-                assert orb.size == 1
-            else:
-                assert orb.size > 1
 
 
 def test_import_does_not_load_scipy():

@@ -105,15 +105,3 @@ class TestBackendSelection:
         assert _kernels.BACKEND in ("cython", "numpy")
         assert callable(_kernels.count_covered)
         assert callable(_kernels.count_beyond_all_planes)
-
-    def test_env_override(self):
-        # fresh interpreter so the env var is seen at import
-        import os
-        import subprocess
-        import sys
-        code = "import overlatt._kernels as k; print(k.BACKEND)"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "OVERLATT_KERNEL": "numpy"},
-            capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "numpy"

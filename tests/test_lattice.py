@@ -59,6 +59,13 @@ class TestDistortedLattice:
             expect[i] += 1.0
             assert np.allclose(col, expect, atol=0)
 
+    def test_basis_is_one_read_only_array(self):
+        lat = DistortedLattice(3, 0.4)
+        assert lat.basis is lat.basis
+        with pytest.raises(ValueError):
+            lat.basis[0, 0] = 2.0
+        assert "basis" not in repr(lat)
+
     def test_equal_pairwise_inner_products(self):
         lat = DistortedLattice(4, 2.5)
         g = lat.basis.T @ lat.basis
