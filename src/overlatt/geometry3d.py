@@ -438,6 +438,34 @@ def _triple_divergence(r: float, normals, dists) -> float:
     return (r * a_sphere - faces) / 3.0
 
 
+@lru_cache(maxsize=4096)
+def _triple_checks(normals: tuple, dists: tuple):
+    """The radius-independent part of a cap triple: the pair (i, j) whose
+    lens the region is when plane k is redundant on it, else None, and
+    the activation radius.
+
+    n_k = alpha n_i + beta n_j with alpha, beta >= 0 and
+    alpha d_i + beta d_j >= d_k makes constraint k implied on the lens.
+    Memoized per plane triple, so inclusion-exclusion, which evaluates
+    one representative per triple orbit at every radius, runs the
+    least-squares fits and the active-set solves once per orbit.
+    """
+    normals, dists = np.array(normals), np.array(dists)
+    lens = None
+    for k in range(3):
+        i, j = [t for t in range(3) if t != k]
+        m = np.column_stack([normals[i], normals[j]])
+        sol, *_ = np.linalg.lstsq(m, normals[k], rcond=None)
+        if float(np.linalg.norm(m @ sol - normals[k])) < 1e-10:
+            alpha, beta = float(sol[0]), float(sol[1])
+            if (alpha >= -1e-12 and beta >= -1e-12
+                    and alpha * dists[i] + beta * dists[j]
+                    >= dists[k] - 1e-12):
+                lens = (i, j)
+                break
+    return lens, _activation_radius(normals, dists)
+
+
 def cap_triple_intersection_volume(r: float, plane1, plane2, plane3) -> float:
     """Volume of the ball region beyond all three planes.
 
@@ -470,20 +498,13 @@ def cap_triple_intersection_volume(r: float, plane1, plane2, plane3) -> float:
             i, j = [t for t in range(3) if t != k]
             return cap_pair_intersection_volume(
                 r, (normals[i], dists[i]), (normals[j], dists[j]))
-    # redundancy: n_k = alpha n_i + beta n_j with alpha, beta >= 0 and
-    # alpha d_i + beta d_j >= d_k makes constraint k implied on the lens
-    for k in range(3):
-        i, j = [t for t in range(3) if t != k]
-        m = np.column_stack([normals[i], normals[j]])
-        sol, *_ = np.linalg.lstsq(m, normals[k], rcond=None)
-        if float(np.linalg.norm(m @ sol - normals[k])) < 1e-10:
-            alpha, beta = float(sol[0]), float(sol[1])
-            if (alpha >= -1e-12 and beta >= -1e-12
-                    and alpha * dists[i] + beta * dists[j]
-                    >= dists[k] - 1e-12):
-                return cap_pair_intersection_volume(
-                    r, (normals[i], dists[i]), (normals[j], dists[j]))
-    if _activation_radius(np.array(normals), np.array(dists)) >= r:
+    unit = tuple(tuple(float(x) for x in n) for n in normals)
+    lens, activation = _triple_checks(unit, tuple(dists))
+    if lens is not None:
+        i, j = lens
+        return cap_pair_intersection_volume(
+            r, (normals[i], dists[i]), (normals[j], dists[j]))
+    if activation >= r:
         return 0.0
     for k in range(3):
         if dists[k] < 0.0:
@@ -492,8 +513,7 @@ def cap_triple_intersection_volume(r: float, plane1, plane2, plane3) -> float:
             return max(0.0, cap_pair_intersection_volume(r, pi, pj)
                        - cap_triple_intersection_volume(
                            r, pi, pj, (-normals[k], -dists[k])))
-    return max(_triple_divergence(
-        r, [tuple(float(x) for x in n) for n in normals], dists), 0.0)
+    return max(_triple_divergence(r, unit, dists), 0.0)
 
 
 # -- the cap arrangement of a cell -------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +24,7 @@ _SELF_TEST_POINTS = 64
 _SELF_TEST_SEED = 0x5EED
 
 
+@lru_cache(maxsize=None)
 def unit_ball_volume(n: int) -> float:
     """Volume of the unit ball in dimension n >= 1.
 
@@ -176,6 +178,8 @@ def named_lattice(name: str, n: int | None = None) -> DistortedLattice:
 # per-coordinate error is at most (n-1)/n (confined by the bisectors of
 # e_i - e_j), so with rounding error 1/2 the total stays below 2.  A seeded
 # construction-time check asserts this and widens to +-3 if it ever failed.
+# The Monte Carlo estimators use the residue-class decoder below; this
+# search is its test oracle.
 
 
 @lru_cache(maxsize=None)
@@ -199,30 +203,6 @@ def _search_window(n: int, delta: float) -> int:
         if np.all(dists <= cov * (1.0 + 1e-9) + 1e-12):
             return window
     return 3
-
-
-def _sorted_offsets(lat: DistortedLattice, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """Offset lattice vectors sorted by norm, plus their norms."""
-    offsets = _offset_table(lat.n, window)
-    vecs = offsets @ lat.basis.T
-    norms = np.linalg.norm(vecs, axis=1)
-    order = np.argsort(norms, kind="stable")
-    return np.ascontiguousarray(vecs[order]), np.ascontiguousarray(norms[order])
-
-
-@lru_cache(maxsize=None)
-def _coverage_offsets_cached(n: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    lat = DistortedLattice(n, delta)
-    vecs, norms = _sorted_offsets(lat, _search_window(n, delta))
-    vecs.flags.writeable = False
-    norms.flags.writeable = False
-    return vecs, norms
-
-
-def coverage_offsets(lat: DistortedLattice) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate lattice vectors (sorted by norm) that can be nearest to any
-    point of the fundamental cell.  Used by the Monte Carlo estimators."""
-    return _coverage_offsets_cached(lat.n, lat.delta)
 
 
 def _batch_nearest_distance(lat: DistortedLattice, points: np.ndarray,
@@ -277,3 +257,26 @@ def nearest_lattice_point(lat: DistortedLattice, p) -> tuple[np.ndarray, float]:
         pick = tied[0]
     point = cand[pick] @ lat.basis.T
     return point, math.sqrt(d2[pick])
+
+
+# -- residue-class decoder ---------------------------------------------------
+
+
+class CosetTable(NamedTuple):
+    """Per-class data of the residue-class decoder in overlatt._kernels.
+
+    offsets has one row per residue class m = sum c mod n of the integer
+    coefficients: m (n - m) / n, the constant of the class's distance in
+    the hyperplane orthogonal to the all-ones vector.  weight is
+    delta^2 / n, the factor of the squared offset along that vector.
+    """
+
+    offsets: np.ndarray
+    weight: float
+
+
+def coverage_offsets(lat: DistortedLattice) -> CosetTable:
+    """The decoder's per-class data for lat, one row per residue class.
+    Used by the Monte Carlo estimators."""
+    m = np.arange(lat.n, dtype=float)
+    return CosetTable(m * (lat.n - m) / lat.n, lat.delta * lat.delta / lat.n)

@@ -4,6 +4,13 @@ Sampling is split into fixed-size chunks of 2**20 draws.  Chunk i uses the
 Philox stream jumped(i) from the seed, and chunk results are integer counts,
 so estimates are bit-identical for a given (seed, samples) no matter how the
 chunks are scheduled across threads.
+
+mc_union counts the draws u in [0, 1)^n whose point B u lies within r of
+the lattice.  For c in Z^n,
+|B (u - c)|^2 = |P (u - c)|^2 + (delta^2 / n) (sum u - sum c)^2 with P the
+projection orthogonal to the all-ones vector; the first term depends on c
+only through m = sum c mod n, so each of the n residue classes has one
+candidate and the nearest one gives the distance (see overlatt._kernels).
 """
 
 from __future__ import annotations
@@ -104,20 +111,19 @@ def mc_union(lat: DistortedLattice, r: float, samples: int = DEFAULT_SAMPLES_CI,
              seed: int = 0, par: int | None = None) -> McEstimate:
     """Estimate the covered volume fraction of the fundamental cell.
 
-    Points are drawn uniformly from the cell B * [-1/2, 1/2)^n; the covered
-    fraction equals vol(ball_r intersect Voronoi cell) / delta because the
-    ball union is lattice-periodic.
+    Points B u are drawn uniformly from the fundamental parallelepiped,
+    u uniform in [0, 1)^n; the covered fraction equals
+    vol(ball_r intersect Voronoi cell) / delta because the ball union is
+    lattice-periodic.  The kernel decodes the coefficient rows u as
+    drawn, one candidate per residue class of sum c mod n.
     """
     _validate_mc_args(r, samples)
-    vecs, norms = coverage_offsets(lat)
-    basis_t = lat.basis.T.copy()
+    offsets, weight = coverage_offsets(lat)
     n = lat.n
 
     def worker(rng, size):
-        u = rng.random((size, n))
-        frac = u - np.rint(u)
-        q = np.ascontiguousarray(frac @ basis_t)
-        return _kernels.count_covered(q, vecs, norms, r)
+        return _kernels.count_covered(rng.random((size, n)), offsets,
+                                      weight, r)
 
     covered = _run_chunks(worker, samples, seed, par)
     p = covered / samples

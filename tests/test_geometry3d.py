@@ -22,7 +22,9 @@ from overlatt.geometry3d import (
     vol_overlap_3d,
     voronoi_ball_volume_3d,
     _activation_radius,
+    _build_arrangement,
     _inclusion_exclusion,
+    _triple_checks,
 )
 from overlatt.lattice import (
     DistortedLattice,
@@ -620,6 +622,23 @@ class TestTermOrbits:
             for m in orb.members:
                 act = _activation_radius(normals[list(m)], dists[list(m)])
                 assert abs(act - orb.activation) < 1e-12
+
+    @pytest.mark.parametrize("delta", ORBIT_DELTAS)
+    def test_union_checks_each_triple_orbit_once(self, delta):
+        # redundancy and activation do not depend on r: one least-squares
+        # and active-set pass per triple orbit, then only memo hits
+        _build_arrangement.cache_clear()
+        _triple_checks.cache_clear()
+        arr = build_cap_arrangement(delta)
+        cov = covering_radius(DistortedLattice(3, delta))
+        radii = np.linspace(0.0, cov, 41)[1:-1]
+        for r in radii:
+            voronoi_ball_volume_3d(delta, float(r))
+        active = sum(o.activation < radii[-1] for o in arr.triple_orbits)
+        assert _triple_checks.cache_info().misses == active
+        for r in radii:
+            voronoi_ball_volume_3d(delta, float(r))
+        assert _triple_checks.cache_info().misses == active
 
     @pytest.mark.parametrize("delta", ORBIT_DELTAS)
     def test_union_matches_per_term_sum(self, delta):

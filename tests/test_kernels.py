@@ -1,28 +1,31 @@
-"""Counting kernels: backend agreement and correctness vs brute force."""
+"""Counting kernels: the residue-class decoder against brute force and
+the window search of overlatt.lattice."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from overlatt import _kernels
-from overlatt._kernels import _mc_np
-from overlatt.lattice import DistortedLattice, coverage_offsets
-
-try:
-    from overlatt._kernels import _mc_cy
-except ImportError:
-    _mc_cy = None
-
-needs_cython = pytest.mark.skipif(_mc_cy is None,
-                                  reason="compiled kernel not built")
+from overlatt.lattice import (
+    DistortedLattice,
+    coverage_offsets,
+    nearest_distances,
+)
 
 
-def _cell_points(lat, m, seed):
-    rng = np.random.default_rng(seed)
-    u = rng.random((m, lat.n))
-    return np.ascontiguousarray((u - np.rint(u)) @ lat.basis.T)
+def _coeff_rows(lat, m, seed):
+    # coefficient rows exactly as the estimators draw them
+    return np.random.default_rng(seed).random((m, lat.n))
 
 
-def _brute_covered(q, vecs, r):
+def _brute_covered(lat, u, r):
+    # every lattice vector B c with c in {-2..3}^n: the nearest one to a
+    # row of [0, 1)^n is among them (the window search's +-2 bound)
+    cs = np.array(list(itertools.product(range(-2, 4), repeat=lat.n)),
+                  dtype=float)
+    q = u @ lat.basis.T
+    vecs = cs @ lat.basis.T
     d2 = ((q[:, None, :] - vecs[None, :, :]) ** 2).sum(axis=2)
     return int((d2.min(axis=1) <= r * r).sum())
 
@@ -32,42 +35,56 @@ class TestCountCovered:
                                          (3, 2.0), (4, 1.7)])
     def test_matches_brute_force(self, n, delta):
         lat = DistortedLattice(n, delta)
-        vecs, norms = coverage_offsets(lat)
-        q = _cell_points(lat, 4000, seed=n * 100 + 1)
+        offsets, weight = coverage_offsets(lat)
+        u = _coeff_rows(lat, 4000, seed=n * 100 + 1)
         for r in [0.05, 0.3, 0.7, 1.4]:
-            got = _mc_np.count_covered(q, vecs, norms, r)
-            want = _brute_covered(q, vecs, r)
+            got = _kernels.count_covered(u, offsets, weight, r)
+            want = _brute_covered(lat, u, r)
             assert got == want
-
-    @needs_cython
-    @pytest.mark.parametrize("n,delta", [(2, 0.3), (2, 1.0), (3, 0.5),
-                                         (3, 2.0), (4, 1.7), (5, 0.4)])
-    def test_backends_bit_identical(self, n, delta):
-        lat = DistortedLattice(n, delta)
-        vecs, norms = coverage_offsets(lat)
-        q = _cell_points(lat, 50_000, seed=n * 7 + int(delta * 10))
-        for r in [0.0, 0.1, 0.35, 0.8, 1.5, 3.0]:
-            a = _mc_np.count_covered(q, vecs, norms, r)
-            b = _mc_cy.count_covered(q, vecs, norms, r)
-            assert a == b
 
     def test_radius_zero_counts_nothing_random(self):
         lat = DistortedLattice(3, 1.0)
-        vecs, norms = coverage_offsets(lat)
-        q = _cell_points(lat, 1000, seed=5)
-        assert _mc_np.count_covered(q, vecs, norms, 0.0) == 0
+        offsets, weight = coverage_offsets(lat)
+        u = _coeff_rows(lat, 1000, seed=5)
+        assert _kernels.count_covered(u, offsets, weight, 0.0) == 0
 
     def test_exact_hit_at_radius_zero(self):
         lat = DistortedLattice(2, 1.0)
-        vecs, norms = coverage_offsets(lat)
-        q = np.zeros((1, 2))
-        assert _mc_np.count_covered(q, vecs, norms, 0.0) == 1
+        offsets, weight = coverage_offsets(lat)
+        u = np.zeros((1, 2))
+        assert _kernels.count_covered(u, offsets, weight, 0.0) == 1
 
     def test_huge_radius_counts_everything(self):
         lat = DistortedLattice(3, 0.5)
-        vecs, norms = coverage_offsets(lat)
-        q = _cell_points(lat, 1000, seed=6)
-        assert _mc_np.count_covered(q, vecs, norms, 50.0) == 1000
+        offsets, weight = coverage_offsets(lat)
+        u = _coeff_rows(lat, 1000, seed=6)
+        assert _kernels.count_covered(u, offsets, weight, 50.0) == 1000
+
+    def test_blocks_count_like_one_pass(self):
+        lat = DistortedLattice(3, 1.7)
+        offsets, weight = coverage_offsets(lat)
+        u = _coeff_rows(lat, 2 * _kernels._BLOCK + 17, seed=7)
+        d2 = _kernels._squared_distances(u, offsets, weight)
+        for r in (0.3, 0.6, 0.9):
+            assert _kernels.count_covered(u, offsets, weight, r) == \
+                int(np.count_nonzero(d2 <= r * r))
+
+    def test_one_offset_per_residue_class(self):
+        for n in (2, 3, 7, 10):
+            offsets, weight = coverage_offsets(DistortedLattice(n, 0.7))
+            assert offsets.shape == (n,)
+            assert weight == 0.7 * 0.7 / n
+
+
+class TestSquaredDistances:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_window_search(self, n):
+        u = np.random.default_rng(40 + n).random((500, n))
+        for delta in np.geomspace(0.05, 20.0, 20):
+            lat = DistortedLattice(n, float(delta))
+            got = _kernels._squared_distances(u, *coverage_offsets(lat))
+            want = nearest_distances(lat, u @ lat.basis.T) ** 2
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 class TestCountBeyondAllPlanes:
@@ -83,25 +100,17 @@ class TestCountBeyondAllPlanes:
     def test_matches_brute_force(self, n):
         q, normals, dists = self._setup(n, 3, seed=n)
         want = int(((q @ normals.T) > dists[None, :]).all(axis=1).sum())
-        assert _mc_np.count_beyond_all_planes(q, normals, dists) == want
-
-    @needs_cython
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_backends_bit_identical(self, n):
-        q, normals, dists = self._setup(n, 3, seed=n + 20)
-        a = _mc_np.count_beyond_all_planes(q, normals, dists)
-        b = _mc_cy.count_beyond_all_planes(q, normals, dists)
-        assert a == b
+        assert _kernels.count_beyond_all_planes(q, normals, dists) == want
 
     def test_no_planes_counts_everything(self):
         q = np.ascontiguousarray(np.random.default_rng(0).normal(size=(100, 3)))
         normals = np.zeros((0, 3))
         dists = np.zeros(0)
-        assert _mc_np.count_beyond_all_planes(q, normals, dists) == 100
+        assert _kernels.count_beyond_all_planes(q, normals, dists) == 100
 
 
 class TestBackendSelection:
     def test_active_backend_is_exported(self):
-        assert _kernels.BACKEND in ("cython", "numpy")
+        assert _kernels.BACKEND == "numpy"
         assert callable(_kernels.count_covered)
         assert callable(_kernels.count_beyond_all_planes)

@@ -1,6 +1,7 @@
 """Monte Carlo oracle: determinism, convergence, exact-value agreement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,20 @@ class TestUnion:
         means = [mc_union(HEX, float(r), samples=100_000, seed=5).mean
                  for r in rs]
         assert all(a <= b for a, b in zip(means, means[1:]))
+
+    def test_high_dimension_memory_is_bounded(self):
+        # the decoder keeps no table of lattice vectors (a 5^n one would
+        # take about 780 MB at n = 10)
+        lat = DistortedLattice(10, 1.3)
+        r = 0.5 * (packing_radius(lat) + covering_radius(lat))
+        tracemalloc.start()
+        try:
+            est = mc_union(lat, r, samples=1 << 16, seed=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert 0.0 < est.mean < 1.0
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
