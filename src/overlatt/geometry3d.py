@@ -30,9 +30,17 @@ triple volumes are both closed form by the divergence theorem,
 3V = r * A_sphere - sum_i d_i * A_face_i; the triple's spherical patch
 comes from Gauss-Bonnet on the intersection of three caps.
 
-Triple regions only appear below the covering radius for delta > 1, in
-the band s1 < r < s2; for delta <= 1 every activating triple is the
-containment-degenerate kind that cancels its pair term exactly.
+For delta > 1 the triple regions appear in the band s1 < r < s2.  For
+delta <= 1 some triple orbits also activate below the covering radius,
+and the regime does not say whether they cancel.  An orbit whose third
+plane is redundant on the lens of the other two (`_triple_checks`
+returns that pair) is containment-degenerate: its triple volume equals
+the pair lens, so it cancels that pair term exactly.  Other orbits have
+no redundant plane and a genuine three-cap region.  At delta 0.9 and
+0.99 the 6-member orbit of faces (-1,-1,0), (-1,0,-1), (-1,0,0) is one
+of them: it activates at 0.997 and 0.948 of the covering radius, and
+its cap triple at 0.9995 of the covering radius is 3.7e-7 and 9.4e-4.
+Cancellation is therefore decided per orbit by `_triple_checks`.
 """
 
 from __future__ import annotations

@@ -22,6 +22,8 @@ DELTA_MAX = 20.0
 
 _SELF_TEST_POINTS = 64
 _SELF_TEST_SEED = 0x5EED
+# (point, offset) pairs per block of the window search
+_SEARCH_BLOCK = 1 << 20
 
 
 @lru_cache(maxsize=None)
@@ -214,10 +216,11 @@ def _batch_nearest_distance(lat: DistortedLattice, points: np.ndarray,
     resid = points - base @ lat.basis.T
     offsets = _offset_table(lat.n, window)
     vecs = offsets @ lat.basis.T
-    # ||resid - v||^2 = ||resid||^2 - 2 resid.v + ||v||^2, chunked to bound memory
+    # ||resid - v||^2 = ||resid||^2 - 2 resid.v + ||v||^2, in chunks of at
+    # most _SEARCH_BLOCK (point, offset) pairs (8 MB per float array)
     vnorm2 = np.einsum("ij,ij->i", vecs, vecs)
     out = np.empty(len(points))
-    chunk = max(1, 10_000_000 // max(len(vecs), 1))
+    chunk = max(1, _SEARCH_BLOCK // len(vecs))
     for s in range(0, len(points), chunk):
         r = resid[s:s + chunk]
         d2 = (np.einsum("ij,ij->i", r, r)[:, None]

@@ -87,6 +87,10 @@ def _validate_radius(r: float, positive: bool = False):
 def density(lat: DistortedLattice, r: float) -> float:
     """Expected number of balls covering a uniformly random point."""
     _validate_radius(r)
+    return _density(lat, r)
+
+
+def _density(lat: DistortedLattice, r: float) -> float:
     return unit_ball_volume(lat.n) * r ** lat.n / lat.delta
 
 
@@ -109,7 +113,7 @@ def union_fraction(lat: DistortedLattice, r: float, *,
     if r >= covering_radius(lat):
         return 1.0
     if r <= packing_radius(lat):
-        return density(lat, r)
+        return _density(lat, r)
     if samples is None:
         raise NoClosedFormError(
             f"no closed form for union in dimension {lat.n}; pass samples= "
@@ -131,7 +135,8 @@ def vol_overlap(lat: DistortedLattice, r: float, *,
                 samples: int | None = None, seed: int = 0,
                 par: int | None = None) -> float:
     """Expected over-coverage of a point: density minus union."""
-    return (density(lat, r)
+    # union_fraction validates r
+    return (_density(lat, r)
             - union_fraction(lat, r, samples=samples, seed=seed, par=par))
 
 

@@ -125,10 +125,20 @@ def max_radius_for_overlap(lat: DistortedLattice,
     """Largest r whose overlap stays within the budget omega.
 
     Distance measure: exact inversion r = shortest/(2(1 - omega)).
-    Volume measure: bisection on [packing_radius, 2^k packing_radius];
-    the overlap is zero up to the packing radius and strictly increasing
-    beyond it, so the root is unique.  Returns the bracket endpoint that
-    satisfies the constraint, to 1e-12 in r.
+
+    Volume measure: the overlap is zero up to the packing radius and
+    strictly increasing beyond it, so f(r) = vol_overlap(r) - omega has
+    one root.  Doubling from the packing radius brackets it in
+    [lo, hi] = [2^(k-1), 2^k] packing_radius (k >= 1), and ITP
+    (Oliveira & Takahashi, ACM TOMS 47, 2020; k1 = 0.2 / (hi - lo),
+    k2 = 2, n0 = 1) shrinks the bracket: a regula falsi step, truncated
+    towards the midpoint by k1 (hi - lo)^2 and projected into the
+    interval that keeps the bisection worst case.  Every step keeps
+    vol_overlap(lo) <= omega < vol_overlap(hi) and the loop stops at
+    hi - lo <= RADIUS_TOL, returning lo.  Where the overlap is smooth it
+    converges superlinearly (about 12 evaluations instead of 40); it
+    never evaluates more than ceil(log2((hi - lo) / RADIUS_TOL)) + 1
+    times, one more than bisection of the same bracket.
     """
     _validate_omega(measure, omega)
     if measure is OverlapMeasure.DISTANCE_BASED:
@@ -138,16 +148,39 @@ def max_radius_for_overlap(lat: DistortedLattice,
     lo = packing_radius(lat)
     if omega == 0.0:
         return lo
+    f_lo = -omega  # the overlap is exactly zero at the packing radius
     hi = 2.0 * lo
-    while vol_overlap(lat, hi) <= omega:
-        lo = hi
+    f_hi = vol_overlap(lat, hi) - omega
+    while f_hi <= 0.0:
+        lo, f_lo = hi, f_hi
         hi *= 2.0
+        f_hi = vol_overlap(lat, hi) - omega
+    k1 = 0.2 / (hi - lo)
+    # bound on the bracket width after the next step: RADIUS_TOL 2^m at
+    # least hi - lo, halved each step (eps 2^(n_max - j) with n0 = 1)
+    reach = RADIUS_TOL
+    while reach < hi - lo:
+        reach *= 2.0
     while hi - lo > RADIUS_TOL:
+        width = hi - lo
         mid = 0.5 * (lo + hi)
-        if vol_overlap(lat, mid) <= omega:
-            lo = mid
+        falsi = lo - f_lo * width / (f_hi - f_lo)
+        sigma = 1.0 if mid >= falsi else -1.0
+        step = k1 * width * width
+        x = falsi + sigma * step if step <= abs(mid - falsi) else mid
+        # the margin absorbs the rounding of mid and x
+        radius = max(reach - 0.5 * width - 2.0 * math.ulp(hi), 0.0)
+        if abs(x - mid) > radius:
+            x = mid - sigma * radius
+        if not lo < x < hi:
+            # falsi can round onto an end, whose overlap is known
+            x = mid
+        f_x = vol_overlap(lat, x) - omega
+        if f_x <= 0.0:
+            lo, f_lo = x, f_x
         else:
-            hi = mid
+            hi, f_hi = x, f_x
+        reach *= 0.5
     return lo
 
 

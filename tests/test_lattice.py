@@ -1,6 +1,7 @@
 """Lattice family: basis, named lattices, radii branches, nearest point."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,20 @@ class TestNearestLatticePoint:
         u = rng.random((2000, n)) - 0.5
         pts = u @ lat.basis.T
         dists = nearest_distances(lat, pts)
+        assert np.all(dists <= covering_radius(lat) * (1 + 1e-12))
+
+    def test_window_search_memory_is_bounded(self):
+        # 5^7 offsets per point; unblocked, 100 points took about 128 MB
+        lat = DistortedLattice(7, 0.7)
+        rng = np.random.default_rng(5)
+        pts = (rng.random((100, 7)) - 0.5) @ lat.basis.T
+        tracemalloc.start()
+        try:
+            dists = nearest_distances(lat, pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2 ** 20
         assert np.all(dists <= covering_radius(lat) * (1 + 1e-12))
 
     def test_rejects_bad_points(self):

@@ -127,6 +127,13 @@ class TestVolOverlap:
         assert vol_overlap(lat, covering_radius(lat)) == pytest.approx(
             expect, abs=1e-12)
 
+    def test_rejects_bad_radius(self):
+        for n in (2, 3, 4):
+            lat = DistortedLattice(n, 0.8)
+            for r in (-0.1, math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    vol_overlap(lat, r)
+
 
 class TestFreeSpace:
     def test_zero_at_covering_radius(self):

@@ -1,11 +1,17 @@
 """Tests for relaxed packing/covering quality and delta optimization."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from overlatt import quality
 from overlatt.lattice import (
+    DELTA_MAX,
+    DELTA_MIN,
     DistortedLattice,
     covering_radius,
     packing_radius,
@@ -13,6 +19,7 @@ from overlatt.lattice import (
 )
 from overlatt.measures import OverlapMeasure, vol_overlap
 from overlatt.quality import (
+    RADIUS_TOL,
     NoCrossoverError,
     OptimizeResult,
     QualityMode,
@@ -42,6 +49,30 @@ def branchwise_distance_density(n: int, delta: float, omega: float) -> float:
         middle = (1.0 + (delta ** 2 - 1.0) / n) ** (n / 2.0)
         return vn * middle / (2.0 ** n * scale * delta)
     return vn / (2.0 ** (n / 2.0) * scale * delta)
+
+
+def doubled_bracket(lat: DistortedLattice, omega: float):
+    """The volume-inversion bracket [lo, hi] and the overlap evaluations
+    that doubling from the packing radius takes to find it."""
+    lo = packing_radius(lat)
+    hi = 2.0 * lo
+    evals = 1
+    while vol_overlap(lat, hi) <= omega:
+        lo, hi = hi, 2.0 * hi
+        evals += 1
+    return lo, hi, evals
+
+
+def bisection_radius(lat: DistortedLattice, omega: float) -> float:
+    """Reference volume inversion: plain bisection of the bracket."""
+    lo, hi, _ = doubled_bracket(lat, omega)
+    while hi - lo > RADIUS_TOL:
+        mid = 0.5 * (lo + hi)
+        if vol_overlap(lat, mid) <= omega:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 class TestMaxRadiusForOverlap:
@@ -80,6 +111,57 @@ class TestMaxRadiusForOverlap:
             max_radius_for_overlap(lat, DIST, -0.1)
         with pytest.raises(ValueError):
             max_radius_for_overlap(lat, VOL, math.nan)
+
+
+class TestVolumeInversionContract:
+    @given(n=st.sampled_from((2, 3)),
+           log_delta=st.floats(math.log(DELTA_MIN), math.log(DELTA_MAX)),
+           above_cover=st.booleans(),
+           frac=st.floats(0.01, 0.99))
+    def test_bracket_reference_and_evaluation_count(self, n, log_delta,
+                                                    above_cover, frac):
+        lat = DistortedLattice(n, math.exp(log_delta))
+        # the overlap at the covering radius, where the union reaches 1
+        budget = vol_overlap(lat, covering_radius(lat))
+        omega = budget * (1.0 + 2.0 * frac) if above_cover else budget * frac
+        with mock.patch.object(quality, "vol_overlap",
+                               wraps=vol_overlap) as counted:
+            r = max_radius_for_overlap(lat, VOL, omega)
+        assert vol_overlap(lat, r) <= omega < vol_overlap(lat, r + RADIUS_TOL)
+        assert abs(r - bisection_radius(lat, omega)) <= 2.0 * RADIUS_TOL
+        lo, hi, doubling = doubled_bracket(lat, omega)
+        bisection = math.ceil(math.log2((hi - lo) / RADIUS_TOL))
+        assert counted.call_count <= doubling + bisection + 1
+
+    def test_step_overlap_keeps_the_bisection_bound(self):
+        # on a step, regula falsi crawls from the low end; the projection
+        # into the bisection-minmax interval keeps the worst case
+        lat = DistortedLattice(2, 1.0)
+        pack = packing_radius(lat)
+        edge = 1.3 * pack
+
+        def step_overlap(lat, r):
+            return 0.0 if r <= edge else 1e6
+
+        with mock.patch.object(quality, "vol_overlap",
+                               side_effect=step_overlap) as counted:
+            r = max_radius_for_overlap(lat, VOL, 0.1)
+        assert edge - RADIUS_TOL <= r <= edge
+        bisection = math.ceil(math.log2(pack / RADIUS_TOL))
+        assert counted.call_count <= 1 + bisection + 1
+
+    def test_smooth_overlap_takes_far_fewer_steps_than_bisection(self):
+        # bisection of these brackets takes 39-40 steps each
+        steps = []
+        for n, delta, omega in ((2, 0.8, 0.3), (2, 3.0, 0.1),
+                                (3, 0.5, 0.2), (3, 2.0, 0.05)):
+            lat = DistortedLattice(n, delta)
+            _, _, doubling = doubled_bracket(lat, omega)
+            with mock.patch.object(quality, "vol_overlap",
+                                   wraps=vol_overlap) as counted:
+                max_radius_for_overlap(lat, VOL, omega)
+            steps.append(counted.call_count - doubling)
+        assert max(steps) <= 20
 
 
 class TestQualPacking:
