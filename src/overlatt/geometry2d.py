@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 _SQRT2 = math.sqrt(2.0)
 _THIRD = 1.0 / math.sqrt(3.0)
@@ -42,6 +43,13 @@ def _validate_delta_unit(delta: float):
 def critical_radii_2d(delta: float) -> CriticalRadii2D:
     """The three critical radii for delta in (0, 1]."""
     _validate_delta_unit(delta)
+    return _critical_radii_2d(float(delta))
+
+
+@lru_cache(maxsize=1024)
+def _critical_radii_2d(delta: float) -> CriticalRadii2D:
+    # memoized: an overlap inversion evaluates the area at one delta many
+    # times
     d2 = delta * delta
     r1 = math.sqrt(d2 + 1.0) / (2.0 * _SQRT2)
     r2 = delta / _SQRT2
@@ -81,7 +89,7 @@ def voronoi_ball_area(delta: float, r: float) -> float:
     if delta > 1.0:
         # mirror lattice: cell of delta is the cell of 1/delta scaled by delta
         return delta * delta * voronoi_ball_area(1.0 / delta, r / delta)
-    rad = critical_radii_2d(delta)
+    rad = _critical_radii_2d(float(delta))
     if r <= min(rad.r1, rad.r2):
         return math.pi * r * r
     if r <= rad.r3:

@@ -14,7 +14,11 @@ vertex as the set of faces through it) per regime, expanded under the
 cell isometries.  Faces, vertex incidences and edges (face pairs through
 two common vertices) are therefore exact; only the face normals and
 distances, the vertex positions and the activation radii are computed in
-floating point.  Deltas within 1e-9 of 1 take the cube.
+floating point.  Deltas within 1e-9 of 1 take the cube.  Everything the
+catalog fixes (face coefficients, incidences, edge subtypes, and the
+pair and triple orbits below) depends only on the regime (`below`,
+`cube`, `above`) and is built once per regime in `_regime_tables`; a
+new delta computes only the planes, vertices, edge feet and activations.
 
 vol(cell ∩ ball) is computed by inclusion-exclusion over the face caps:
 ball volume, minus caps, plus pairwise cap intersections, minus triple
@@ -25,7 +29,11 @@ The coordinate permutations and the central inversion map L_delta onto
 itself (P B = B P), so they permute the faces.  The arrangement groups
 the pair and triple terms into orbits under these 12 isometries and
 stores one activation per orbit; inclusion-exclusion evaluates one
-representative per orbit and weights it by the orbit size.  Pair and
+representative per orbit and weights it by the orbit size.  Terms that
+activate beyond 1.02 times the covering radius are dropped.  Every pair
+orbit is solved; a triple orbit is solved only if all three of its
+pairs activate below that cutoff, because the triple region lies inside
+each pair region and so activates no nearer than any of them.  Pair and
 triple volumes are both closed form by the divergence theorem,
 3V = r * A_sphere - sum_i d_i * A_face_i; the triple's spherical patch
 comes from Gauss-Bonnet on the intersection of three caps.
@@ -135,6 +143,8 @@ def spherical_cap_volume(r: float, d: float) -> float:
     """
     if not (r >= 0.0) or not math.isfinite(r):
         raise ValueError(f"radius must be finite and >= 0, got {r}")
+    if math.isnan(d):
+        raise ValueError("plane distances must not be NaN")
     if d >= r:
         return 0.0
     if d <= -r:
@@ -146,11 +156,27 @@ def _clamp(x: float) -> float:
     return min(1.0, max(-1.0, x))
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float array; equal to np.linalg.norm(x),
+    without its dispatch."""
+    return math.sqrt(float(x @ x))
+
+
 def _unit_normal(nrm) -> np.ndarray:
     n = np.asarray(nrm, dtype=float)
-    if abs(float(np.linalg.norm(n)) - 1.0) >= 1e-12:
+    # written so that a NaN norm fails too
+    if not abs(_norm(n) - 1.0) < 1e-12:
         raise ValueError("plane normals must be unit vectors")
     return n
+
+
+def _plane(plane) -> tuple:
+    """A validated (unit normal array, float distance) pair."""
+    nrm, d = plane
+    d = float(d)
+    if math.isnan(d):
+        raise ValueError("plane distances must not be NaN")
+    return _unit_normal(nrm), d
 
 
 def _segment_area(rho: float, c: float) -> float:
@@ -179,10 +205,8 @@ def cap_pair_intersection_volume(r: float, plane1, plane2) -> float:
     """
     if not (r >= 0.0) or not math.isfinite(r):
         raise ValueError(f"radius must be finite and >= 0, got {r}")
-    n1, d1 = plane1
-    n2, d2 = plane2
-    n1 = _unit_normal(n1)
-    n2 = _unit_normal(n2)
+    n1, d1 = _plane(plane1)
+    n2, d2 = _plane(plane2)
     if r == 0.0 or d1 >= r or d2 >= r:
         return 0.0
     if d1 <= -r:
@@ -495,10 +519,7 @@ def cap_triple_intersection_volume(r: float, plane1, plane2, plane3) -> float:
         raise ValueError(f"radius must be finite and >= 0, got {r}")
     # a numpy scalar radius would make the arc flags numpy bools
     r = float(r)
-    planes = [(plane1[0], float(plane1[1])), (plane2[0], float(plane2[1])),
-              (plane3[0], float(plane3[1]))]
-    normals = [_unit_normal(nrm) for nrm, _ in planes]
-    dists = [d for _, d in planes]
+    normals, dists = zip(*(_plane(p) for p in (plane1, plane2, plane3)))
     if r == 0.0 or any(d >= r for d in dists):
         return 0.0
     for k in range(3):
@@ -675,23 +696,75 @@ _CATALOG = {
 }
 
 
-def _term_orbits(images, size: int, normals: np.ndarray,
-                 dists: np.ndarray, cutoff: float) -> tuple:
-    """Orbits of the face pairs (size 2) or triples (size 3) whose
-    activation lies below cutoff."""
+def _term_orbits(images, size: int) -> tuple:
+    """Orbits of the face pairs (size 2) or triples (size 3), each as its
+    members in index order, in the order of their first members."""
     orbits = []
     seen = set()
-    for term in itertools.combinations(range(len(dists)), size):
+    for term in itertools.combinations(range(len(images[0])), size):
         if term in seen:
             continue
         members = {tuple(sorted(img[t] for t in term)) for img in images}
         seen |= members
-        idx = list(term)
-        act = _activation_radius(normals[idx], dists[idx])
-        if act < cutoff:
-            orbits.append(TermOrbit(members=tuple(sorted(members)),
-                                    activation=act))
+        orbits.append(tuple(sorted(members)))
     return tuple(orbits)
+
+
+@dataclass(frozen=True)
+class _RegimeTables:
+    """The delta-free part of a cell: everything its catalog fixes.
+
+    triple_orbits pairs each triple orbit with the pair orbits of the
+    three face pairs of its first member (the same for every member).
+    """
+
+    coeffs: tuple
+    points: np.ndarray  # coeffs as a read-only float array
+    incidences: tuple
+    vertex_faces: np.ndarray  # the first three faces of each vertex
+    edges: tuple  # ((i, j), subtype)
+    pair_orbits: tuple
+    triple_orbits: tuple  # (members, pair orbit indices)
+
+
+@lru_cache(maxsize=None)
+def _regime_tables(regime: str) -> _RegimeTables:
+    face_reps, vertex_reps = _CATALOG[regime]
+    # faces in lexicographic coefficient order
+    coeffs = tuple(sorted({_image(c, g) for c in face_reps
+                           for g in _ISOMETRIES}))
+    points = np.array(coeffs, dtype=float)
+    points.flags.writeable = False
+
+    # vertices as sorted face index tuples
+    index = {c: i for i, c in enumerate(coeffs)}
+    incidences = tuple(sorted({tuple(sorted(index[_image(c, g)] for c in rep))
+                               for rep in vertex_reps for g in _ISOMETRIES}))
+    vertex_faces = np.array([faces[:3] for faces in incidences])
+    vertex_faces.flags.writeable = False
+
+    # edges: face pairs through two common vertices (the diagonal pairs
+    # of a four-valent vertex share only that vertex)
+    shared = Counter(pair for faces in incidences
+                     for pair in itertools.combinations(faces, 2))
+    edges = []
+    for i, j in sorted(pair for pair, k in shared.items() if k == 2):
+        ti, tj = _coeff_type(coeffs[i]), _coeff_type(coeffs[j])
+        tdiff = _coeff_type(np.subtract(coeffs[i], coeffs[j]))
+        edges.append(((i, j), f"{min(ti, tj)}{max(ti, tj)}|{tdiff}"))
+
+    # images[g][i] is the face that isometry g maps face i to
+    images = [[index[_image(c, g)] for c in coeffs] for g in _ISOMETRIES]
+    pair_orbits = _term_orbits(images, 2)
+    orbit_of = {m: k for k, members in enumerate(pair_orbits)
+                for m in members}
+    triple_orbits = tuple(
+        (members, tuple(sorted({orbit_of[p] for p in
+                                itertools.combinations(members[0], 2)})))
+        for members in _term_orbits(images, 3))
+    return _RegimeTables(coeffs=coeffs, points=points, incidences=incidences,
+                         vertex_faces=vertex_faces, edges=tuple(edges),
+                         pair_orbits=pair_orbits, triple_orbits=triple_orbits)
 
 
 def _flatten(orbits) -> tuple:
@@ -704,58 +777,58 @@ def _flatten(orbits) -> tuple:
 def _build_arrangement(delta: float) -> CapArrangement:
     lat = DistortedLattice(3, delta)
     degenerate = abs(delta - 1.0) < 1e-9
-    face_reps, vertex_reps = _CATALOG[
-        "cube" if degenerate else "below" if delta < 1.0 else "above"]
+    tables = _regime_tables(
+        "cube" if degenerate else "below" if delta < 1.0 else "above")
 
-    # faces in lexicographic coefficient order; the face of B c lies at
-    # half its norm
-    coeffs = sorted({_image(c, g) for c in face_reps for g in _ISOMETRIES})
-    pts = np.array(coeffs, dtype=float) @ lat.basis.T
+    # the face of B c lies at half its norm
     planes = []
-    for c, p in zip(coeffs, pts):
-        nrm = float(np.linalg.norm(p))
+    for c, p in zip(tables.coeffs, tables.points @ lat.basis.T):
+        nrm = _norm(p)
         planes.append(Plane(coeffs=c, normal=p / nrm, distance=nrm / 2.0))
     planes = tuple(planes)
     normals = np.array([p.normal for p in planes])
     dists = np.array([p.distance for p in planes])
 
-    # vertices as sorted face index tuples; any three faces of a vertex
-    # are independent and fix its position
-    index = {c: i for i, c in enumerate(coeffs)}
-    incidences = sorted({tuple(sorted(index[_image(c, g)] for c in rep))
-                         for rep in vertex_reps for g in _ISOMETRIES})
-    vertices = []
-    for faces in incidences:
-        first = list(faces[:3])
-        x = np.linalg.solve(normals[first], dists[first])
-        vertices.append(Vertex(position=x, distance=float(np.linalg.norm(x)),
-                               valence=len(faces)))
+    # any three faces of a vertex are independent and fix its position
+    faces = tables.vertex_faces
+    positions = np.linalg.solve(normals[faces], dists[faces][..., None])
+    vertices = tuple(Vertex(position=x, distance=_norm(x), valence=len(inc))
+                     for x, inc in zip(positions[..., 0], tables.incidences))
 
-    # edges: face pairs through two common vertices (the diagonal pairs
-    # of a four-valent vertex share only that vertex)
-    shared = Counter(pair for faces in incidences
-                     for pair in itertools.combinations(faces, 2))
     edges = []
-    for i, j in sorted(pair for pair, k in shared.items() if k == 2):
+    for (i, j), subtype in tables.edges:
         foot = _line_foot(normals[i], dists[i], normals[j], dists[j])
-        ti, tj = _coeff_type(coeffs[i]), _coeff_type(coeffs[j])
-        tdiff = _coeff_type(np.subtract(coeffs[i], coeffs[j]))
-        edges.append(Edge(planes=(i, j),
-                          distance=float(np.linalg.norm(foot)),
-                          subtype=f"{min(ti, tj)}{max(ti, tj)}|{tdiff}"))
+        edges.append(Edge(planes=(i, j), distance=_norm(foot),
+                          subtype=subtype))
 
-    # activation tables for inclusion-exclusion, one activation per orbit;
-    # images[g][i] is the face that isometry g maps face i to
+    # activation tables for inclusion-exclusion, one activation per orbit
+    # representative; a triple region lies inside each of its pair
+    # regions, so it activates no nearer than any of them, and a triple
+    # with a pair at or beyond the cutoff is dropped without a solve
     cutoff = covering_radius(lat) * 1.02
-    images = [[index[_image(c, g)] for c in coeffs] for g in _ISOMETRIES]
-    pair_orbits = _term_orbits(images, 2, normals, dists, cutoff)
-    triple_orbits = _term_orbits(images, 3, normals, dists, cutoff)
+
+    def activation(term) -> float:
+        idx = list(term)
+        return _activation_radius(normals[idx], dists[idx])
+
+    pair_acts = [activation(members[0]) for members in tables.pair_orbits]
+    pair_orbits = tuple(TermOrbit(members=members, activation=act)
+                        for members, act in zip(tables.pair_orbits, pair_acts)
+                        if act < cutoff)
+    triple_orbits = []
+    for members, pairs in tables.triple_orbits:
+        if all(pair_acts[k] < cutoff for k in pairs):
+            act = activation(members[0])
+            if act < cutoff:
+                triple_orbits.append(TermOrbit(members=members,
+                                               activation=act))
+    triple_orbits = tuple(triple_orbits)
 
     return CapArrangement(delta=delta,
                           degenerate=degenerate,
                           planes=planes,
                           edges=tuple(edges),
-                          vertices=tuple(vertices),
+                          vertices=vertices,
                           pair_terms=_flatten(pair_orbits),
                           triple_terms=_flatten(triple_orbits),
                           pair_orbits=pair_orbits,

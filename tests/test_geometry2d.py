@@ -14,6 +14,7 @@ from overlatt.geometry2d import (
     segment_angles,
     vol_overlap_2d,
     voronoi_ball_area,
+    _critical_radii_2d,
 )
 from overlatt.lattice import DistortedLattice, covering_radius, packing_radius
 from overlatt.oracle import mc_union
@@ -81,6 +82,27 @@ class TestCriticalRadii:
             critical_radii_2d(-1.0)
         with pytest.raises(ValueError):
             critical_radii_2d(1.5)
+
+    def test_rejects_out_of_range_after_memoizing(self):
+        critical_radii_2d(0.5)
+        for bad in (1.5, 2.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                critical_radii_2d(bad)
+
+    def test_area_computes_radii_once_per_delta(self):
+        # an overlap inversion evaluates one delta at many radii; the
+        # mirror delta = 2.5 shares the radii of 0.4
+        radii = [float(r) for r in np.linspace(0.0, 1.2, 50)]
+        cold = []
+        for r in radii:
+            _critical_radii_2d.cache_clear()
+            cold.append((voronoi_ball_area(0.4, r),
+                         voronoi_ball_area(2.5, 2.5 * r)))
+        _critical_radii_2d.cache_clear()
+        warm = [(voronoi_ball_area(0.4, r), voronoi_ball_area(2.5, 2.5 * r))
+                for r in radii]
+        assert warm == cold
+        assert _critical_radii_2d.cache_info().misses == 1
 
 
 class TestSegmentAngles:

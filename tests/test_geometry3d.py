@@ -1,5 +1,6 @@
 """Tests for the 3D cell-ball volume machinery."""
 
+import collections
 import itertools
 import math
 import os
@@ -9,9 +10,16 @@ import sys
 import numpy as np
 import pytest
 
+from overlatt import geometry3d
 from overlatt.cli import main as cli_main
 from overlatt.geometry3d import (
+    _CATALOG,
+    _ISOMETRIES,
     CATALOG_COUNTS,
+    Edge,
+    Plane,
+    TermOrbit,
+    Vertex,
     build_cap_arrangement,
     cap_pair_intersection_volume,
     cap_triple_intersection_volume,
@@ -23,7 +31,12 @@ from overlatt.geometry3d import (
     voronoi_ball_volume_3d,
     _activation_radius,
     _build_arrangement,
+    _coeff_type,
+    _flatten,
+    _image,
     _inclusion_exclusion,
+    _line_foot,
+    _regime_tables,
     _triple_checks,
 )
 from overlatt.lattice import (
@@ -139,6 +152,10 @@ class TestSphericalCapVolume:
         with pytest.raises(ValueError):
             spherical_cap_volume(math.nan, 0.0)
 
+    def test_rejects_nan_distance(self):
+        with pytest.raises(ValueError, match="NaN"):
+            spherical_cap_volume(1.0, math.nan)
+
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -190,6 +207,19 @@ class TestCapPair:
     def test_rejects_non_unit_normal(self):
         with pytest.raises(ValueError):
             cap_pair_intersection_volume(1.0, (2.0 * EX, 0.1), (EY, 0.1))
+
+    def test_rejects_nan_normal(self):
+        nan = np.array([math.nan, 0.0, 0.0])
+        with pytest.raises(ValueError, match="unit"):
+            cap_pair_intersection_volume(1.0, (nan, 0.1), (EY, 0.1))
+        with pytest.raises(ValueError, match="unit"):
+            cap_pair_intersection_volume(1.0, (EX, 0.1), (nan, 0.1))
+
+    def test_rejects_nan_distance(self):
+        with pytest.raises(ValueError, match="NaN"):
+            cap_pair_intersection_volume(1.0, (EX, math.nan), (EY, 0.1))
+        with pytest.raises(ValueError, match="NaN"):
+            cap_pair_intersection_volume(1.0, (EX, 0.1), (EY, np.nan))
 
     def test_against_oracle(self):
         rng = np.random.default_rng(31)
@@ -290,6 +320,19 @@ class TestCapTriple:
         with pytest.raises(ValueError):
             cap_triple_intersection_volume(
                 1.0, (EX, 0.1), (EY, 0.1), (0.5 * EZ, 0.1))
+
+    def test_rejects_nan_normal(self):
+        nan = np.array([0.0, math.nan, 0.0])
+        for planes in (((nan, 0.1), (EY, 0.1), (EZ, 0.1)),
+                       ((EX, 0.1), (EY, 0.1), (nan, 0.1))):
+            with pytest.raises(ValueError, match="unit"):
+                cap_triple_intersection_volume(1.0, *planes)
+
+    def test_rejects_nan_distance(self):
+        for planes in (((EX, math.nan), (EY, 0.1), (EZ, 0.1)),
+                       ((EX, 0.1), (EY, 0.1), (EZ, np.nan))):
+            with pytest.raises(ValueError, match="NaN"):
+                cap_triple_intersection_volume(1.0, *planes)
 
     def test_against_oracle(self):
         rng = np.random.default_rng(57)
@@ -650,6 +693,154 @@ class TestTermOrbits:
             ref = _per_term_sum(arr, r)
             assert voronoi_ball_volume_3d(delta, r) == pytest.approx(
                 ref, rel=1e-13)
+
+
+def _reference_term_orbits(images, size, normals, dists, cutoff):
+    """Every face pair or triple orbit solved for its activation, kept
+    if it activates below cutoff: the build without regime tables or
+    pair-first pruning."""
+    orbits = []
+    seen = set()
+    for term in itertools.combinations(range(len(dists)), size):
+        if term in seen:
+            continue
+        members = {tuple(sorted(img[t] for t in term)) for img in images}
+        seen |= members
+        idx = list(term)
+        act = _activation_radius(normals[idx], dists[idx])
+        if act < cutoff:
+            orbits.append(TermOrbit(members=tuple(sorted(members)),
+                                    activation=act))
+    return tuple(orbits)
+
+
+def _reference_arrangement(delta):
+    """(planes, edges, vertices, pair orbits, triple orbits) of the cell,
+    each worked out from the catalog at this delta alone."""
+    lat = DistortedLattice(3, delta)
+    face_reps, vertex_reps = _CATALOG[_regime(delta)]
+    coeffs = sorted({_image(c, g) for c in face_reps for g in _ISOMETRIES})
+    planes = []
+    for c, p in zip(coeffs, np.array(coeffs, dtype=float) @ lat.basis.T):
+        nrm = float(np.linalg.norm(p))
+        planes.append(Plane(coeffs=c, normal=p / nrm, distance=nrm / 2.0))
+    normals = np.array([p.normal for p in planes])
+    dists = np.array([p.distance for p in planes])
+    index = {c: i for i, c in enumerate(coeffs)}
+    incidences = sorted({tuple(sorted(index[_image(c, g)] for c in rep))
+                         for rep in vertex_reps for g in _ISOMETRIES})
+    vertices = []
+    for faces in incidences:
+        first = list(faces[:3])
+        x = np.linalg.solve(normals[first], dists[first])
+        vertices.append(Vertex(position=x, distance=float(np.linalg.norm(x)),
+                               valence=len(faces)))
+    shared = collections.Counter(
+        pair for faces in incidences
+        for pair in itertools.combinations(faces, 2))
+    edges = []
+    for i, j in sorted(pair for pair, k in shared.items() if k == 2):
+        foot = _line_foot(normals[i], dists[i], normals[j], dists[j])
+        ti, tj = _coeff_type(coeffs[i]), _coeff_type(coeffs[j])
+        tdiff = _coeff_type(np.subtract(coeffs[i], coeffs[j]))
+        edges.append(Edge(planes=(i, j),
+                          distance=float(np.linalg.norm(foot)),
+                          subtype=f"{min(ti, tj)}{max(ti, tj)}|{tdiff}"))
+    cutoff = covering_radius(lat) * 1.02
+    images = [[index[_image(c, g)] for c in coeffs] for g in _ISOMETRIES]
+    return (planes, edges, vertices,
+            _reference_term_orbits(images, 2, normals, dists, cutoff),
+            _reference_term_orbits(images, 3, normals, dists, cutoff))
+
+
+def _regime(delta):
+    if abs(delta - 1.0) < 1e-9:
+        return "cube"
+    return "below" if delta < 1.0 else "above"
+
+
+TABLE_DELTAS = tuple(float(d) for d in np.geomspace(0.05, 20.0, 67)) + (
+    1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 1e-8, 1.0 + 1e-8, 1.0)
+
+
+class TestRegimeTables:
+    @pytest.mark.parametrize("delta", TABLE_DELTAS)
+    def test_build_equals_reference(self, delta):
+        arr = _build_arrangement.__wrapped__(delta)
+        planes, edges, vertices, pair_orbits, triple_orbits = (
+            _reference_arrangement(delta))
+        assert arr.planes == tuple(planes)
+        for got, want in zip(arr.planes, planes):
+            assert np.array_equal(got.normal, want.normal)
+        assert arr.edges == tuple(edges)
+        assert arr.vertices == tuple(vertices)
+        for got, want in zip(arr.vertices, vertices):
+            assert np.array_equal(got.position, want.position)
+        assert arr.pair_orbits == pair_orbits
+        assert arr.triple_orbits == triple_orbits
+        assert arr.pair_terms == _flatten(pair_orbits)
+        assert arr.triple_terms == _flatten(triple_orbits)
+
+    def test_deltas_of_one_regime_share_a_table(self):
+        _regime_tables.cache_clear()
+        a = _build_arrangement.__wrapped__(0.3)
+        b = _build_arrangement.__wrapped__(0.7)
+        info = _regime_tables.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        tables = _regime_tables("below")
+        for arr in (a, b):
+            for orb in arr.pair_orbits:
+                assert any(orb.members is m for m in tables.pair_orbits)
+
+    def test_skipped_triples_activate_beyond_the_cutoff(self):
+        # a triple orbit with a pair at or beyond the cutoff is never
+        # solved; solved here, it must lie beyond the cutoff as well
+        skipped = 0
+        for delta in TABLE_DELTAS:
+            arr = build_cap_arrangement(delta)
+            tables = _regime_tables(_regime(delta))
+            normals = np.array([p.normal for p in arr.planes])
+            dists = np.array([p.distance for p in arr.planes])
+            cutoff = covering_radius(DistortedLattice(3, delta)) * 1.02
+            pair_acts = [_activation_radius(normals[list(m[0])],
+                                            dists[list(m[0])])
+                         for m in tables.pair_orbits]
+            for members, pairs in tables.triple_orbits:
+                if all(pair_acts[k] < cutoff for k in pairs):
+                    continue
+                skipped += 1
+                idx = list(members[0])
+                assert _activation_radius(normals[idx], dists[idx]) >= cutoff
+        assert skipped > 0
+
+    @pytest.mark.parametrize("delta", (0.2, 0.5, 0.95, 1.0, 1.2, 2.0, 3.0))
+    def test_build_solves_pairs_and_live_triples_only(self, delta,
+                                                      monkeypatch):
+        solved = []
+
+        def counting(normals, dists):
+            solved.append(len(dists))
+            return _activation_radius(normals, dists)
+
+        monkeypatch.setattr(geometry3d, "_activation_radius", counting)
+        arr = _build_arrangement.__wrapped__(delta)
+        tables = _regime_tables(_regime(delta))
+        assert solved.count(2) == len(tables.pair_orbits)
+        live = {k for k, orb in enumerate(tables.pair_orbits)
+                if any(o.members is orb for o in arr.pair_orbits)}
+        assert solved.count(3) == sum(set(pairs) <= live
+                                      for _, pairs in tables.triple_orbits)
+        assert solved.count(3) < len(tables.triple_orbits)
+
+    def test_triple_pairs_name_the_pair_orbits(self):
+        for regime in ("below", "cube", "above"):
+            tables = _regime_tables(regime)
+            for members, pairs in tables.triple_orbits:
+                for m in members:
+                    got = {k for k, orb in enumerate(tables.pair_orbits)
+                           for p in itertools.combinations(m, 2)
+                           if p in orb}
+                    assert got == set(pairs)
 
 
 def test_import_does_not_load_scipy():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from overlatt import oracle
 from overlatt.geometry3d import ordering_regime
 from overlatt.lattice import DistortedLattice
 from overlatt.verify import (
@@ -30,6 +31,14 @@ class TestSuites:
     def test_oracle_passes_small(self):
         rep = run_suite("oracle", samples=50_000, seed=0)
         assert rep.passed
+
+    def test_oracle_report_independent_of_thread_count(self, monkeypatch):
+        # small chunks, so each cell spans several and the threads do
+        # split the work
+        monkeypatch.setattr(oracle, "CHUNK", 1 << 12)
+        one = run_suite("oracle", samples=20_000, par=1)
+        two = run_suite("oracle", samples=20_000, par=2)
+        assert one == two
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
