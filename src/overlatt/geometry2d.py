@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .lattice import DistortedLattice
+
 _SQRT2 = math.sqrt(2.0)
 _THIRD = 1.0 / math.sqrt(3.0)
 
@@ -125,31 +127,21 @@ def covering_overlap_2d(delta: float) -> float:
     return math.pi * (d2 + 1.0) ** 2 / (8.0 * delta) - 1.0
 
 
-def _overlap_radius(delta: float, omega: float, r_hi: float) -> float:
-    """Radius with vol_overlap_2d(delta, r) = omega, bisected on [pack, r_hi]."""
-    rad = critical_radii_2d(delta)
-    lo = min(rad.r1, rad.r2)
-    hi = r_hi
-    for _ in range(200):
-        if hi - lo <= 1e-14:
-            break
-        mid = 0.5 * (lo + hi)
-        if vol_overlap_2d(delta, mid) < omega:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def density_derivative_2d(delta: float, omega: float) -> float:
     """d/d delta of density(delta, r(delta, omega)) for 0 < delta < 1.
 
     r(delta, omega) is the radius at which the volume overlap reaches the
-    budget omega.  Three closed-form branches, joined continuously: only the
-    r2 segments active, only the r1 segments active, or both.  Vanishes at
-    delta = 1/sqrt(3) (for omega > 0) and at the covering budget; positive
-    below 1/sqrt(3) on the first branch, negative above it on the second.
+    budget omega, from the shared inversion
+    quality.max_radius_for_overlap.  Three closed-form branches, joined
+    continuously: only the r2 segments active, only the r1 segments
+    active, or both.  Vanishes at delta = 1/sqrt(3) (for omega > 0) and
+    at the covering budget; positive below 1/sqrt(3) on the first branch,
+    negative above it on the second.
     """
+    # quality imports measures, which imports this module
+    from .measures import OverlapMeasure
+    from .quality import max_radius_for_overlap
+
     if not (delta > 0.0) or not math.isfinite(delta):
         raise ValueError(f"distortion must be positive, got {delta}")
     if omega < 0.0 or not math.isfinite(omega):
@@ -175,7 +167,8 @@ def density_derivative_2d(delta: float, omega: float) -> float:
     rad = critical_radii_2d(delta)
     r_switch = max(rad.r1, rad.r2)
     omega_switch = vol_overlap_2d(delta, r_switch)
-    r = _overlap_radius(delta, omega, rad.r3)
+    r = max_radius_for_overlap(DistortedLattice(2, delta),
+                               OverlapMeasure.VOLUME_BASED, omega)
     d2 = delta * delta
     u = math.sqrt(d2 + 1.0)
     s = math.sqrt(max(2.0 * r * r - d2, 0.0))

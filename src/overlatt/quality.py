@@ -8,6 +8,7 @@ covering minimizes density subject to a free-space bound.
 
 import enum
 import math
+import numbers
 from typing import NamedTuple
 
 from .lattice import (
@@ -69,7 +70,10 @@ class QualityQuery(NamedTuple):
     measure: OverlapMeasure | None = None
     omega: float = 0.0
     delta_range: tuple[float, float] = (DELTA_MIN, DELTA_MAX)
-    scan_points: int = 400
+    # log-spaced scan size; the branch breakpoints are added to the scan
+    # and evaluated exactly, so the scan only has to bracket every local
+    # optimum away from them
+    scan_points: int = 40
 
 
 class QualityResult(NamedTuple):
@@ -286,14 +290,24 @@ def _contiguous_runs(indices: list[int]) -> list[list[int]]:
     return runs
 
 
+def _breakpoints(n: int) -> tuple[float, float, float]:
+    """Deltas where the objective changes branch: packing_radius at
+    1/sqrt(n+1) and sqrt(n+1), covering_radius and the 3D catalog at 1."""
+    return (1.0 / math.sqrt(n + 1.0), 1.0, math.sqrt(n + 1.0))
+
+
 def _validate_query(query: QualityQuery):
     lo, hi = query.delta_range
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"delta_range must be finite, got {lo}, {hi}")
     if not (lo < hi):
         raise ValueError(f"delta_range must satisfy lo < hi, got {lo}, {hi}")
     if lo <= 0.0:
         raise ValueError(f"delta_range must be positive, got lo = {lo}")
-    if query.scan_points < 2:
-        raise ValueError("scan_points must be >= 2")
+    if (not isinstance(query.scan_points, numbers.Integral)
+            or query.scan_points < 2):
+        raise ValueError("scan_points must be an integer >= 2, "
+                         f"got {query.scan_points!r}")
     if query.mode is QualityMode.PACKING:
         if query.measure is None:
             raise ValueError("packing mode requires an overlap measure")
@@ -307,26 +321,38 @@ def _validate_query(query: QualityQuery):
 def optimize_delta(query: QualityQuery) -> OptimizeResult:
     """Best delta for the query: max density (packing) or min (covering).
 
-    Log-spaced coarse scan, then golden-section refinement of every
-    locally optimal bracket to |d delta| < 1e-7.  All deltas whose
-    refined objective ties the best within 1e-9 are reported, collapsed
-    when closer than 1e-6.  Runs of three or more tied scan points mark
-    a genuinely flat optimum; those are returned as plateau intervals
-    with bisection-refined edges instead of single points.
+    The objective changes branch at three breakpoints, 1/sqrt(n+1), 1
+    and sqrt(n+1), and its optima sit at them more often than not (the
+    hexagonal lattice, FCC and BCC).  A log-spaced scan of
+    `scan_points` deltas, with every breakpoint inside `delta_range`
+    added, brackets the optima; each breakpoint is also an exact
+    candidate.  Every local maximum of the scan is golden-section
+    refined over its two neighbours to |d delta| < 1e-11.  A refined
+    candidate that does not beat a breakpoint inside that bracket by
+    more than 1e-9 is reported as the breakpoint itself, so an optimum
+    at a kink comes out exact rather than refined down to noise.  All
+    deltas whose objective ties the best within 1e-9 are reported,
+    collapsed when closer than 1e-6.  Runs of three or more tied scan
+    points mark a genuinely flat optimum; those are returned as plateau
+    intervals with bisection-refined edges instead of single points.
     """
     _validate_query(query)
     lo, hi = query.delta_range
     f = lambda d: _objective(query, d)
-    xs = [lo * (hi / lo) ** (i / (query.scan_points - 1))
-          for i in range(query.scan_points)]
+    m = query.scan_points
+    kinks = [b for b in _breakpoints(query.n) if lo <= b <= hi]
+    xs = sorted({lo, hi, *kinks,
+                 *(lo * (hi / lo) ** (i / (m - 1)) for i in range(1, m - 1))})
     fs = [f(x) for x in xs]
     vmax = max(fs)
+    kink_at = {b: xs.index(b) for b in kinks}
 
     near = [i for i, v in enumerate(fs) if v >= vmax - TIE_TOL]
     runs = _contiguous_runs(near)
     plateau_mode = any(len(run) >= 3 for run in runs)
 
     candidates: list[tuple[float, float]] = []  # (delta, objective)
+    refined: list[tuple[float, float, float, float]] = []  # bracket, peak
     ranges: list[tuple[float, float]] = []
 
     if plateau_mode:
@@ -344,7 +370,8 @@ def optimize_delta(query: QualityQuery) -> OptimizeResult:
                 # a near-max run too narrow to be flat is a point peak
                 a = xs[max(i0 - 1, 0)]
                 b = xs[min(i1 + 1, len(xs) - 1)]
-                candidates.append(_golden_max(f, a, b, DELTA_REFINE_TOL))
+                refined.append((a, b, *_golden_max(f, a, b,
+                                                   DELTA_REFINE_TOL)))
 
     # refine every local maximum of the scan; a tied peak elsewhere can
     # sit below the scan maximum at grid resolution and still refine to
@@ -358,7 +385,19 @@ def optimize_delta(query: QualityQuery) -> OptimizeResult:
         if left_ok and right_ok:
             a = xs[max(i - 1, 0)]
             b = xs[min(i + 1, len(xs) - 1)]
-            candidates.append(_golden_max(f, a, b, DELTA_REFINE_TOL))
+            refined.append((a, b, *_golden_max(f, a, b, DELTA_REFINE_TOL)))
+
+    # a refinement that does not beat a breakpoint in its bracket by more
+    # than TIE_TOL reports the breakpoint: at a blunt kink the golden point
+    # can settle on noise more than DEDUPE_TOL away and count as a second
+    # tie
+    for a, b, d, v in refined:
+        snap = [(k, fs[i]) for k, i in kink_at.items()
+                if a <= k <= b and v <= fs[i] + TIE_TOL]
+        candidates.append(snap[0] if snap else (d, v))
+    # a breakpoint inside a plateau is represented by that plateau
+    candidates.extend((k, fs[i]) for k, i in kink_at.items()
+                      if i not in plateau_idx)
 
     best = max(v for _, v in candidates)
     tied = sorted(d for d, v in candidates if v >= best - TIE_TOL)
@@ -373,8 +412,8 @@ def optimize_delta(query: QualityQuery) -> OptimizeResult:
         widest = max(ranges, key=lambda rg: rg[1] - rg[0])
         delta_star = 0.5 * (widest[0] + widest[1])
     else:
-        delta_star = max((d for d, v in candidates if v >= best - TIE_TOL),
-                         key=lambda d: (f(d), -d))
+        delta_star = max((dv for dv in candidates if dv[1] >= best - TIE_TOL),
+                         key=lambda dv: (dv[1], -dv[0]))[0]
     return OptimizeResult(
         delta_star=delta_star,
         result=_evaluate(query, delta_star),

@@ -139,9 +139,9 @@ def _theorem_checks() -> list[CheckResult]:
                 1.0 / math.sqrt(n + 1.0)))
     for omega in (0.0, 0.05, 0.1, 0.2, 0.5, 1.0):
         # the objective is itself a root-finding result here (the ITP
-        # inversion of the overlap to 1e-12 in r), so the peak location
-        # is noise-limited (4e-9 to 2e-7 from 1/sqrt 3 at omega 0.05 to
-        # 0.2); the bar is 1e-5 instead of 1e-6
+        # inversion of the overlap to 1e-12 in r); 1/sqrt 3 is a
+        # breakpoint candidate, so the sharp optima at omega 0.05 to 0.2
+        # come out exact, and the bar stays 1e-5 for a peak off it
         checks.append(_argopt_check(
             f"argmax packing vol n=2 omega={omega}",
             QualityQuery(n=2, mode=QualityMode.PACKING, measure=vol,

@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from overlatt.lattice import (
+    DELTA_MAX,
+    DELTA_MIN,
     DistortedLattice,
     covering_radius,
     packing_radius,
@@ -194,6 +198,51 @@ class TestIdentityAndMonotonicity:
             assert all(u <= 1.0 + 1e-12 for u in uni)
             assert all(b >= a - 1e-12 for a, b in zip(dov, dov[1:]))
             assert all(b >= a - 1e-12 for a, b in zip(vov, vov[1:]))
+
+
+# the whole domain the optimizer searches, log-uniform
+deltas = st.floats(math.log(DELTA_MIN), math.log(DELTA_MAX)).map(math.exp)
+fractions = st.floats(0.0, 1.0)
+
+
+class TestUnionMetamorphic:
+    @given(n=st.sampled_from((2, 3)), delta=deltas, a=fractions, b=fractions)
+    def test_nondecreasing_in_radius(self, n, delta, a, b):
+        lat = DistortedLattice(n, delta)
+        reach = 1.2 * covering_radius(lat)
+        r_lo, r_hi = sorted((a * reach, b * reach))
+        assert union_fraction(lat, r_lo) <= union_fraction(lat, r_hi)
+
+    @given(n=st.sampled_from((2, 3)), delta=deltas, frac=fractions)
+    def test_equals_density_below_packing_radius(self, n, delta, frac):
+        lat = DistortedLattice(n, delta)
+        r = frac * packing_radius(lat)
+        assert union_fraction(lat, r) == pytest.approx(density(lat, r),
+                                                       rel=1e-14, abs=0.0)
+
+    @given(n=st.sampled_from((2, 3)), delta=deltas,
+           frac=st.floats(0.0, 2.0))
+    def test_one_at_and_beyond_covering_radius(self, n, delta, frac):
+        lat = DistortedLattice(n, delta)
+        r = covering_radius(lat) * (1.0 + frac)
+        assert union_fraction(lat, r) == pytest.approx(1.0, abs=1e-14)
+
+    @given(delta=deltas, frac=st.floats(0.0, 1.2))
+    def test_2d_mirror(self, delta, frac):
+        # L_{1/delta} is L_delta scaled by 1/delta, up to a rotation
+        lat = DistortedLattice(2, delta)
+        r = frac * covering_radius(lat)
+        mirror = DistortedLattice(2, 1.0 / delta)
+        assert union_fraction(mirror, r / delta) == pytest.approx(
+            union_fraction(lat, r), abs=1e-15)
+
+    @given(frac=st.floats(0.0, 1.2), side=st.sampled_from((-1.0, 1.0)))
+    def test_3d_continuous_across_cube(self, frac, side):
+        cube = DistortedLattice(3, 1.0)
+        r = frac * covering_radius(cube)
+        near = DistortedLattice(3, 1.0 + side * 1e-9)
+        assert union_fraction(near, r) == pytest.approx(
+            union_fraction(cube, r), abs=1e-8)
 
 
 class TestMeasureReport:

@@ -353,6 +353,96 @@ class TestOptimizeDelta:
                                         measure=DIST, omega=0.5,
                                         scan_points=1))
 
+    def test_rejects_non_finite_delta_range(self):
+        for delta_range in ((1.0, math.inf), (-math.inf, 1.0),
+                            (0.1, math.nan)):
+            with pytest.raises(ValueError, match="delta_range"):
+                optimize_delta(QualityQuery(n=3, mode=QualityMode.COVERING,
+                                            delta_range=delta_range))
+
+    def test_rejects_non_integer_scan_points(self):
+        for points in (2.5, 40.0):
+            with pytest.raises(ValueError, match="scan_points"):
+                optimize_delta(QualityQuery(n=3, mode=QualityMode.COVERING,
+                                            scan_points=points))
+
+
+def _pack(n, measure, omega, delta_range=(DELTA_MIN, DELTA_MAX)):
+    return QualityQuery(n=n, mode=QualityMode.PACKING, measure=measure,
+                        omega=omega, delta_range=delta_range)
+
+
+def _cover(n, omega, delta_range=(DELTA_MIN, DELTA_MAX)):
+    return QualityQuery(n=n, mode=QualityMode.COVERING, omega=omega,
+                        delta_range=delta_range)
+
+
+class TestOptimizeDeltaBreakpoints:
+    """Optima at the branch breakpoints 1/sqrt(n+1), 1 and sqrt(n+1)
+    are reported exactly, not refined down to noise."""
+
+    def test_distance_packing_and_covering_exact(self):
+        for n in (3, 4, 5):
+            for omega in (0.0, 0.5):
+                assert optimize_delta(_pack(n, DIST, omega)).delta_star \
+                    == math.sqrt(n + 1.0)
+                assert optimize_delta(_cover(n, omega)).delta_star \
+                    == 1.0 / math.sqrt(n + 1.0)
+
+    def test_2d_distance_pair_exact(self):
+        res = optimize_delta(_pack(2, DIST, 0.25))
+        assert res.ties == (1.0 / SQRT3, SQRT3)
+
+    def test_2d_volume_exact(self):
+        for omega in (0.05, 0.1):
+            res = optimize_delta(_pack(2, VOL, omega, (0.05, 1.0)))
+            assert res.delta_star == 1.0 / SQRT3
+            assert res.ties == (1.0 / SQRT3,)
+
+    def test_2d_volume_blunt_kink_is_one_tie(self):
+        # just below the covering budget at 1/sqrt 3 both one-sided
+        # slopes nearly vanish, and the refined peak settles about 1e-6
+        # off the kink while tying it to 1e-13
+        res = optimize_delta(_pack(2, VOL, 0.2, (0.05, 1.0)))
+        assert res.ties == (1.0 / SQRT3,)
+        assert not res.plateau
+
+    def test_3d_volume_optimum_is_fcc(self):
+        res = optimize_delta(_pack(3, VOL, 0.1))
+        assert res.delta_star == 2.0
+        assert res.ties == (2.0,)
+
+    def test_breakpoint_outside_range_is_never_reported(self):
+        # each optimum sits at a range end just short of a breakpoint,
+        # well within DEDUPE_TOL of it
+        cases = ((_pack(3, DIST, 0.25, (0.05, 2.0 - 1e-8)), 2.0),
+                 (_cover(3, 0.25, (0.5 + 1e-8, 20.0)), 0.5),
+                 (_pack(2, DIST, 0.25, (0.05, SQRT3 * (1.0 - 1e-9))),
+                  SQRT3))
+        for query, kink in cases:
+            lo, hi = query.delta_range
+            res = optimize_delta(query)
+            assert lo <= res.delta_star <= hi
+            assert all(lo <= t <= hi for t in res.ties), res
+            assert any(abs(t - kink) < 1e-6 for t in res.ties), res
+
+    def test_forty_points_match_four_hundred(self):
+        queries = [q for n in (2, 3, 4, 5)
+                   for omega in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9)
+                   for q in (_pack(n, DIST, omega), _cover(n, omega))]
+        queries += [_pack(2, VOL, omega, delta_range)
+                    for omega in (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0, 1.5,
+                                  2.0)
+                    for delta_range in ((0.05, 1.0), (DELTA_MIN, DELTA_MAX))]
+        queries.append(_pack(3, VOL, 0.3))
+        for query in queries:
+            coarse = optimize_delta(query)
+            fine = optimize_delta(query._replace(scan_points=400))
+            assert abs(coarse.result.density - fine.result.density) \
+                <= quality.TIE_TOL, query
+            assert len(coarse.ties) == len(fine.ties), query
+            assert coarse.plateau == fine.plateau, query
+
 
 class TestCrossoverOmega:
     def test_crossover_location_and_level(self):
