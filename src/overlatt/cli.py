@@ -30,6 +30,7 @@ from .measures import (
     dist_overlap,
     free_space,
     measure_report,
+    union_fraction,
 )
 from .oracle import mc_union
 from .quality import (
@@ -152,8 +153,7 @@ def cmd_measure(args) -> int:
         est = mc_union(lat, args.r, samples=args.samples, seed=args.seed,
                        par=args.par)
         try:
-            union = (measure_report(lat, args.r).union
-                     if args.dim <= 3 else est.mean)
+            union = union_fraction(lat, args.r)
         except NoClosedFormError:
             union = est.mean
         dens = density(lat, args.r)

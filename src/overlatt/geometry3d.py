@@ -596,13 +596,12 @@ class TermOrbit:
 class CapArrangement:
     """Faces, edges and vertices of a cell, plus the activation tables.
 
-    pair_terms and triple_terms list every face pair / triple whose
-    halfspace intersection comes within 1.02x the covering radius, with
-    its activation distance.  pair_orbits and triple_orbits group the
-    same terms into symmetry orbits; inclusion-exclusion evaluates one
-    representative per orbit and weights it by the orbit size.
-    degenerate flags deltas within 1e-9 of 1, where the cell is taken
-    to be the cube.
+    pair_orbits and triple_orbits hold every face pair / triple whose
+    halfspace intersection comes within 1.02x the covering radius,
+    grouped into symmetry orbits that share the activation distance;
+    inclusion-exclusion evaluates one representative per orbit and
+    weights it by the orbit size.  degenerate flags deltas within 1e-9
+    of 1, where the cell is taken to be the cube.
     """
 
     delta: float
@@ -610,8 +609,6 @@ class CapArrangement:
     planes: tuple
     edges: tuple
     vertices: tuple
-    pair_terms: tuple
-    triple_terms: tuple
     pair_orbits: tuple
     triple_orbits: tuple
 
@@ -767,12 +764,6 @@ def _regime_tables(regime: str) -> _RegimeTables:
                          pair_orbits=pair_orbits, triple_orbits=triple_orbits)
 
 
-def _flatten(orbits) -> tuple:
-    """Per-term table (*face indices, activation) in index order."""
-    return tuple(sorted(term + (orb.activation,)
-                        for orb in orbits for term in orb.members))
-
-
 @lru_cache(maxsize=64)
 def _build_arrangement(delta: float) -> CapArrangement:
     lat = DistortedLattice(3, delta)
@@ -829,8 +820,6 @@ def _build_arrangement(delta: float) -> CapArrangement:
                           planes=planes,
                           edges=tuple(edges),
                           vertices=vertices,
-                          pair_terms=_flatten(pair_orbits),
-                          triple_terms=_flatten(triple_orbits),
                           pair_orbits=pair_orbits,
                           triple_orbits=triple_orbits)
 

@@ -15,15 +15,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._kernels import _squared_distances
+
 # CLI sweeps and the optimizer stay inside this range; far outside it the
 # inverse basis becomes ill-conditioned and closed forms lose digits.
 DELTA_MIN = 0.05
 DELTA_MAX = 20.0
-
-_SELF_TEST_POINTS = 64
-_SELF_TEST_SEED = 0x5EED
-# (point, offset) pairs per block of the window search
-_SEARCH_BLOCK = 1 << 20
 
 
 @lru_cache(maxsize=None)
@@ -170,94 +167,84 @@ def named_lattice(name: str, n: int | None = None) -> DistortedLattice:
     return NamedLattice.resolve(name, n).to_lattice()
 
 
-# -- nearest point search ---------------------------------------------------
-#
-# Round the coefficient vector and search a fixed window of integer offsets.
-# The window of +-2 per coordinate is sufficient for every delta > 0:
-# writing the residual of the true nearest point as a diagonal part plus an
-# orthogonal part, the diagonal coefficient error is at most 1/2 (the cell
-# is confined between the bisectors of +-delta*ones) and the orthogonal
-# per-coordinate error is at most (n-1)/n (confined by the bisectors of
-# e_i - e_j), so with rounding error 1/2 the total stays below 2.  A seeded
-# construction-time check asserts this and widens to +-3 if it ever failed.
-# The Monte Carlo estimators use the residue-class decoder below; this
-# search is its test oracle.
+# -- nearest point ------------------------------------------------------------
+
+# tie tolerances of nearest_lattice_point: in the coefficients of
+# B^-1 p, and relative in the squared distance
+_TIE_COEFF = 1e-12
+_TIE_DIST2 = 1e-9
 
 
-@lru_cache(maxsize=None)
-def _offset_table(n: int, window: int) -> np.ndarray:
-    rng = range(-window, window + 1)
-    grids = np.meshgrid(*([list(rng)] * n), indexing="ij")
-    offsets = np.stack([g.ravel() for g in grids], axis=1).astype(float)
-    return offsets
+def nearest_distances(lat: DistortedLattice, points) -> np.ndarray:
+    """Distance to the lattice of each row of a finite (k, n) array.
 
-
-@lru_cache(maxsize=None)
-def _search_window(n: int, delta: float) -> int:
-    lat = DistortedLattice(n, delta)
-    cov = covering_radius(lat)
-    npoints = _SELF_TEST_POINTS if n <= 7 else 8
-    rng = np.random.default_rng(_SELF_TEST_SEED)
-    u = rng.random((npoints, n)) - 0.5
-    points = u @ lat.basis.T
-    for window in (2, 3):
-        dists = _batch_nearest_distance(lat, points, window)
-        if np.all(dists <= cov * (1.0 + 1e-9) + 1e-12):
-            return window
-    return 3
-
-
-def _batch_nearest_distance(lat: DistortedLattice, points: np.ndarray,
-                            window: int) -> np.ndarray:
-    """Distance from each row of points to the lattice (no tie handling)."""
+    Each row is shifted by the lattice vector B floor(B^-1 p), its
+    coefficients are reduced to [0, 1)^n, and the residue-class decoder
+    finds the distance: O(n^2) work per row and no table of lattice
+    vectors.
+    """
     points = np.asarray(points, dtype=float)
-    coeffs = points @ lat.inverse_basis.T
-    base = np.rint(coeffs)
-    resid = points - base @ lat.basis.T
-    offsets = _offset_table(lat.n, window)
-    vecs = offsets @ lat.basis.T
-    # ||resid - v||^2 = ||resid||^2 - 2 resid.v + ||v||^2, in chunks of at
-    # most _SEARCH_BLOCK (point, offset) pairs (8 MB per float array)
-    vnorm2 = np.einsum("ij,ij->i", vecs, vecs)
-    out = np.empty(len(points))
-    chunk = max(1, _SEARCH_BLOCK // len(vecs))
-    for s in range(0, len(points), chunk):
-        r = resid[s:s + chunk]
-        d2 = (np.einsum("ij,ij->i", r, r)[:, None]
-              - 2.0 * (r @ vecs.T) + vnorm2[None, :])
-        out[s:s + chunk] = np.sqrt(np.maximum(d2.min(axis=1), 0.0))
-    return out
-
-
-def nearest_distances(lat: DistortedLattice, points: np.ndarray) -> np.ndarray:
-    """Vectorized distance-to-lattice for an array of points."""
-    return _batch_nearest_distance(lat, points, _search_window(lat.n, lat.delta))
+    if points.ndim != 2 or points.shape[1] != lat.n:
+        raise ValueError(f"points must have shape (k, {lat.n}), "
+                         f"got {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points must be finite")
+    # the shift is subtracted in space, which keeps the digits that
+    # coefficients of far points lose
+    base = np.floor(points @ lat.inverse_basis.T)
+    x = (points - base @ lat.basis.T) @ lat.inverse_basis.T
+    x -= np.floor(x)
+    x[x >= 1.0] = 0.0  # the kernel takes rows in [0, 1)^n
+    d2 = _squared_distances(x, *coverage_offsets(lat))
+    return np.sqrt(np.maximum(d2, 0.0))
 
 
 def nearest_lattice_point(lat: DistortedLattice, p) -> tuple[np.ndarray, float]:
     """Nearest lattice point to p and its distance.
 
-    Exact ties are broken by the lexicographically smallest integer
-    coefficient vector.
+    With u = B^-1 p and x = u - floor(u), the candidate of class
+    m = 0..n-1 is floor(u) plus ones on the m largest coordinates of x,
+    shifted by j * ones to the coefficient sum congruent to m nearest to
+    sum u; the nearest lattice point is one of these n candidates.
+
+    Ties go to the lexicographically smallest integer coefficient vector,
+    within stated tolerances: candidates whose squared distances agree to
+    1e-9 relative tie, and within a class, coordinates of x that agree to
+    1e-12 (or lie within 1e-12 below 1, which counts as 0) are equal, so
+    the ones go to the highest indices among them, and a sum within 1e-12
+    of halfway between two shifts takes the lower one.  Exact ties, up to
+    rounding, therefore resolve to the lexicographic minimum.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (lat.n,):
         raise ValueError(f"point must have shape ({lat.n},), got {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValueError("point must be finite")
-    window = _search_window(lat.n, lat.delta)
-    base = np.rint(p @ lat.inverse_basis.T)
-    offsets = _offset_table(lat.n, window)
-    cand = base[None, :] + offsets
+    n = lat.n
+    u = lat.inverse_basis @ p
+    base = np.floor(u)
+    x = u - base
+    whole = x > 1.0 - _TIE_COEFF
+    base[whole] += 1.0
+    x[whole] = 0.0
+    # coordinates by descending x, a run of near-equal ones by
+    # descending index
+    order, run = [], []
+    for i in sorted(range(n), key=lambda i: -x[i]):
+        if run and x[run[-1]] - x[i] > _TIE_COEFF:
+            order += sorted(run, reverse=True)
+            run = []
+        run.append(i)
+    order += sorted(run, reverse=True)
+    cand = np.tile(base, (n, 1))  # row m: class m
+    for k, i in enumerate(order[:-1], start=1):
+        cand[k:, i] += 1.0
+    # the shift j nearest to (sum x - m) / n, the lower one at halfway
+    cand += np.ceil((x.sum() - np.arange(n) - _TIE_COEFF) / n - 0.5)[:, None]
     diffs = p[None, :] - cand @ lat.basis.T
     d2 = np.einsum("ij,ij->i", diffs, diffs)
-    best = d2.min()
-    tied = np.nonzero(d2 == best)[0]
-    if len(tied) > 1:
-        order = np.lexsort(cand[tied].T[::-1])
-        pick = tied[order[0]]
-    else:
-        pick = tied[0]
+    tied = np.nonzero(d2 <= d2.min() * (1.0 + _TIE_DIST2))[0]
+    pick = tied[np.lexsort(cand[tied].T[::-1])[0]]
     point = cand[pick] @ lat.basis.T
     return point, math.sqrt(d2[pick])
 

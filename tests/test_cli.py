@@ -82,6 +82,27 @@ class TestMeasure:
         assert row["samples"] == "100000" and row["seed"] == "7"
         assert float(row["mc_se"]) > 0.0
 
+    def test_oracle_union_exact_below_packing_radius(self, capsys):
+        # n=4, delta=1: packing radius 1/2, so union == density exactly
+        code, out, _ = run(capsys, "measure", "--dim", "4", "--delta", "1",
+                           "--r", "0.45", "--oracle", "--samples", "20000",
+                           "--seed", "3")
+        row = csv_rows(out)[0]
+        assert code == 0
+        assert row["union"] == row["density"]
+        assert float(row["vol_overlap"]) == 0.0
+
+    @pytest.mark.parametrize("r", ["1", "1.3"])
+    def test_oracle_union_exact_from_covering_radius(self, capsys, r):
+        # n=4, delta=1: covering radius 1
+        code, out, _ = run(capsys, "measure", "--dim", "4", "--delta", "1",
+                           "--r", r, "--oracle", "--samples", "20000",
+                           "--seed", "3")
+        row = csv_rows(out)[0]
+        assert code == 0
+        assert float(row["union"]) == 1.0
+        assert float(row["vol_overlap"]) == float(row["density"]) - 1.0
+
     def test_high_dim_needs_oracle(self, capsys):
         code, _, err = run(capsys, "measure", "--dim", "4", "--delta", "1",
                            "--r", "0.8")

@@ -32,7 +32,6 @@ from overlatt.geometry3d import (
     _activation_radius,
     _build_arrangement,
     _coeff_type,
-    _flatten,
     _image,
     _inclusion_exclusion,
     _line_foot,
@@ -523,8 +522,8 @@ class TestCapArrangement:
         # in s1 < r < s2 exactly the eight 3-valent vertex cones are live
         arr = build_cap_arrangement(1.5)
         dr = dual_radii_3d(1.5)
-        acts = [act for *_, act in arr.triple_terms
-                if act < dr.s2 * (1.0 - 1e-9)]
+        acts = [orb.activation for orb in arr.triple_orbits
+                for _ in orb.members if orb.activation < dr.s2 * (1.0 - 1e-9)]
         assert len(acts) == 8
         assert all(abs(a - dr.s1) < 1e-9 for a in acts)
 
@@ -535,9 +534,12 @@ class TestCapArrangement:
         # correction beyond the edge terms vanishes
         arr = build_cap_arrangement(0.9)
         rad = critical_radii_3d(0.9)
-        pair_acts = {(i, j): a for i, j, a in arr.pair_terms}
+        pair_acts = {m: orb.activation for orb in arr.pair_orbits
+                     for m in orb.members}
         r = rad.r6 * 0.999
-        for i, j, k, act in arr.triple_terms:
+        triples = [(m, orb.activation) for orb in arr.triple_orbits
+                   for m in orb.members]
+        for (i, j, k), act in triples:
             if act >= rad.r6 * (1.0 - 1e-9):
                 continue
             pi, pj, pk = arr.planes[i], arr.planes[j], arr.planes[k]
@@ -632,28 +634,36 @@ def _per_term_sum(arr, r):
     for p in arr.planes:
         if p.distance < r:
             vol -= spherical_cap_volume(r, p.distance)
-    for *idx, act in arr.pair_terms:
-        if act < r:
-            vol += cap_pair_intersection_volume(
-                r, *[(arr.planes[t].normal, arr.planes[t].distance)
-                     for t in idx])
-    for *idx, act in arr.triple_terms:
-        if act < r:
-            vol -= cap_triple_intersection_volume(
-                r, *[(arr.planes[t].normal, arr.planes[t].distance)
-                     for t in idx])
+    for sign, orbits, cap in ((1, arr.pair_orbits,
+                               cap_pair_intersection_volume),
+                              (-1, arr.triple_orbits,
+                               cap_triple_intersection_volume)):
+        for orb in orbits:
+            if orb.activation >= r:
+                continue
+            for idx in orb.members:
+                vol += sign * cap(r, *[(arr.planes[t].normal,
+                                        arr.planes[t].distance)
+                                       for t in idx])
     return vol
 
 
 class TestTermOrbits:
     @pytest.mark.parametrize("delta", ORBIT_DELTAS)
     def test_orbits_partition_the_tables(self, delta):
+        # every face pair / triple that activates below the cutoff is a
+        # member of exactly one orbit, and there are fewer orbits than terms
         arr = build_cap_arrangement(delta)
-        for orbits, terms in ((arr.pair_orbits, arr.pair_terms),
-                              (arr.triple_orbits, arr.triple_terms)):
-            assert sum(o.size for o in orbits) == len(terms)
+        normals = np.array([p.normal for p in arr.planes])
+        dists = np.array([p.distance for p in arr.planes])
+        cutoff = covering_radius(DistortedLattice(3, delta)) * 1.02
+        for size, orbits in ((2, arr.pair_orbits), (3, arr.triple_orbits)):
+            terms = [t for t in itertools.combinations(range(len(normals)),
+                                                       size)
+                     if _activation_radius(normals[list(t)],
+                                           dists[list(t)]) < cutoff]
             members = sorted(m for o in orbits for m in o.members)
-            assert members == [tuple(t[:-1]) for t in terms]
+            assert members == terms
             assert len(orbits) < len(terms)
 
     @pytest.mark.parametrize("delta", ORBIT_DELTAS)
@@ -778,8 +788,6 @@ class TestRegimeTables:
             assert np.array_equal(got.position, want.position)
         assert arr.pair_orbits == pair_orbits
         assert arr.triple_orbits == triple_orbits
-        assert arr.pair_terms == _flatten(pair_orbits)
-        assert arr.triple_terms == _flatten(triple_orbits)
 
     def test_deltas_of_one_regime_share_a_table(self):
         _regime_tables.cache_clear()

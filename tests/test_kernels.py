@@ -1,17 +1,10 @@
-"""Counting kernels: the residue-class decoder against brute force and
-the window search of overlatt.lattice."""
-
-import itertools
+"""Counting kernels: the residue-class decoder against brute force."""
 
 import numpy as np
 import pytest
 
 from overlatt import _kernels
-from overlatt.lattice import (
-    DistortedLattice,
-    coverage_offsets,
-    nearest_distances,
-)
+from overlatt.lattice import DistortedLattice, coverage_offsets
 
 
 def _coeff_rows(lat, m, seed):
@@ -19,28 +12,17 @@ def _coeff_rows(lat, m, seed):
     return np.random.default_rng(seed).random((m, lat.n))
 
 
-def _brute_covered(lat, u, r):
-    # every lattice vector B c with c in {-2..3}^n: the nearest one to a
-    # row of [0, 1)^n is among them (the window search's +-2 bound)
-    cs = np.array(list(itertools.product(range(-2, 4), repeat=lat.n)),
-                  dtype=float)
-    q = u @ lat.basis.T
-    vecs = cs @ lat.basis.T
-    d2 = ((q[:, None, :] - vecs[None, :, :]) ** 2).sum(axis=2)
-    return int((d2.min(axis=1) <= r * r).sum())
-
-
 class TestCountCovered:
     @pytest.mark.parametrize("n,delta", [(2, 0.3), (2, 1.0), (3, 0.5),
                                          (3, 2.0), (4, 1.7)])
-    def test_matches_brute_force(self, n, delta):
+    def test_matches_brute_force(self, n, delta, brute_nearest):
         lat = DistortedLattice(n, delta)
         offsets, weight = coverage_offsets(lat)
         u = _coeff_rows(lat, 4000, seed=n * 100 + 1)
+        d2, _ = brute_nearest(lat, u @ lat.basis.T)
         for r in [0.05, 0.3, 0.7, 1.4]:
             got = _kernels.count_covered(u, offsets, weight, r)
-            want = _brute_covered(lat, u, r)
-            assert got == want
+            assert got == int(np.count_nonzero(d2 <= r * r))
 
     def test_radius_zero_counts_nothing_random(self):
         lat = DistortedLattice(3, 1.0)
@@ -78,12 +60,12 @@ class TestCountCovered:
 
 class TestSquaredDistances:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_matches_window_search(self, n):
+    def test_matches_window_search(self, n, brute_nearest):
         u = np.random.default_rng(40 + n).random((500, n))
         for delta in np.geomspace(0.05, 20.0, 20):
             lat = DistortedLattice(n, float(delta))
             got = _kernels._squared_distances(u, *coverage_offsets(lat))
-            want = nearest_distances(lat, u @ lat.basis.T) ** 2
+            want, _ = brute_nearest(lat, u @ lat.basis.T)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 

@@ -1,5 +1,6 @@
 """Lattice family: basis, named lattices, radii branches, nearest point."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -250,19 +251,65 @@ class TestNearestLatticePoint:
         dists = nearest_distances(lat, pts)
         assert np.all(dists <= covering_radius(lat) * (1 + 1e-12))
 
-    def test_window_search_memory_is_bounded(self):
-        # 5^7 offsets per point; unblocked, 100 points took about 128 MB
-        lat = DistortedLattice(7, 0.7)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_distances_match_brute_force(self, n, brute_nearest):
+        # coefficient rows spread over several cells, negative ones too
+        rng = np.random.default_rng(60 + n)
+        u = (rng.random((300, n)) - 0.5) * 5.0
+        for delta in np.geomspace(0.05, 20.0, 7):
+            lat = DistortedLattice(n, float(delta))
+            pts = u @ lat.basis.T
+            want, _ = brute_nearest(lat, pts)
+            np.testing.assert_allclose(nearest_distances(lat, pts) ** 2, want,
+                                       rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ties_resolve_to_lexicographic_minimum(self, n, brute_nearest):
+        # points B c on a half-integer coefficient grid sit on cell faces,
+        # edges and vertices, where several lattice points tie
+        grid = np.array(list(itertools.product((-1.5, -0.5, 0.0, 0.5, 1.0),
+                                               repeat=n)))
+        for delta in (0.05, 1.0 / math.sqrt(n + 1), 0.5, 1.0, 2.0, 20.0):
+            lat = DistortedLattice(n, delta)
+            pts = grid @ lat.basis.T
+            d2, coeffs = brute_nearest(lat, pts)
+            for p, want_d2, want in zip(pts, d2, coeffs):
+                pt, dist = nearest_lattice_point(lat, p)
+                assert np.array_equal(np.rint(lat.inverse_basis @ pt), want)
+                assert dist ** 2 == pytest.approx(want_d2, abs=1e-12)
+
+    def test_coefficients_at_rounding_edge(self, brute_nearest):
+        # a coefficient of -1e-17 has fraction 1 - 1e-17, which rounds to 1
+        edge = (-1e-17, 1e-17, 0.0, 0.5)
+        for n, delta in [(2, 0.3), (3, 1.0), (3, 2.0), (4, 7.0)]:
+            lat = DistortedLattice(n, delta)
+            pts = np.array(list(itertools.product(edge, repeat=n))) \
+                @ lat.basis.T
+            d2, coeffs = brute_nearest(lat, pts)
+            np.testing.assert_allclose(nearest_distances(lat, pts) ** 2, d2,
+                                       rtol=0.0, atol=1e-12)
+            for p, want in zip(pts, coeffs):
+                pt, _ = nearest_lattice_point(lat, p)
+                assert np.array_equal(np.rint(lat.inverse_basis @ pt), want)
+        lat = DistortedLattice(3, 0.5)
+        pt, dist = nearest_lattice_point(lat, lat.basis @ np.full(3, -1e-17))
+        assert np.array_equal(pt, np.zeros(3)) and dist < 1e-16
+
+    def test_decoder_memory_is_bounded(self):
+        # a 5^8 window table alone takes 25 MB; the decoder about 0.3 MB
+        lat = DistortedLattice(8, 0.7)
         rng = np.random.default_rng(5)
-        pts = (rng.random((100, 7)) - 0.5) @ lat.basis.T
+        pts = (rng.random((1000, 8)) - 0.5) @ lat.basis.T
         tracemalloc.start()
         try:
             dists = nearest_distances(lat, pts)
+            _, dist = nearest_lattice_point(lat, pts[0])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 48 * 2 ** 20
+        assert peak < 2 ** 20
         assert np.all(dists <= covering_radius(lat) * (1 + 1e-12))
+        assert dist == pytest.approx(dists[0], abs=1e-12)
 
     def test_rejects_bad_points(self):
         lat = DistortedLattice(2, 1.0)
@@ -270,3 +317,10 @@ class TestNearestLatticePoint:
             nearest_lattice_point(lat, (1.0, 2.0, 3.0))
         with pytest.raises(ValueError):
             nearest_lattice_point(lat, (float("nan"), 0.0))
+
+    @pytest.mark.parametrize("points", [
+        [[float("nan"), 0.0]], [[0.0, 0.0], [float("inf"), 1.0]],
+        [0.0, 0.0], [[0.0, 0.0, 0.0]], np.zeros((2, 2, 2))])
+    def test_distances_reject_bad_points(self, points):
+        with pytest.raises(ValueError):
+            nearest_distances(DistortedLattice(2, 1.0), points)

@@ -244,6 +244,19 @@ class TestUnionMetamorphic:
         assert union_fraction(near, r) == pytest.approx(
             union_fraction(cube, r), abs=1e-8)
 
+    @given(boundary=st.sampled_from(
+               (0.5, math.sqrt(0.4),
+                math.sqrt(19.0 / 4.0 - 3.0 * math.sqrt(33.0) / 4.0), 2.0)),
+           frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_3d_continuous_across_regime_boundaries(self, boundary, frac):
+        # ordering_regime switches at the first three, the packing
+        # radius branch at 1/2 and 2
+        r = frac * covering_radius(DistortedLattice(3, boundary))
+        lo = DistortedLattice(3, boundary * (1.0 - 1e-9))
+        hi = DistortedLattice(3, boundary * (1.0 + 1e-9))
+        assert union_fraction(lo, r) == pytest.approx(union_fraction(hi, r),
+                                                      abs=1e-8)
+
 
 class TestMeasureReport:
     def test_field_order(self):
