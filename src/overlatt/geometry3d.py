@@ -22,33 +22,33 @@ new delta computes only the planes, vertices, edge feet and activations.
 
 vol(cell ∩ ball) is computed by inclusion-exclusion over the face caps:
 ball volume, minus caps, plus pairwise cap intersections, minus triple
-intersections.  Pair and triple terms enter once the ball reaches the
-least-norm point beyond the corresponding planes (a tiny active-set QP).
+intersections.  Below the covering radius only the face lattice of the
+cell enters: the faces, the edges as face pairs and the three-valent
+vertices as face triples.  A point of the ball outside the cell lies
+beyond some set of faces, and those closed faces, the faces visible from
+it, form a shellable ball on the cell boundary (Bruggesser & Mani,
+"Shellable decompositions of cells and spheres", Math. Scand. 29, 1971).
+Two of them meet, if at all, in an edge and three in a three-valent
+vertex, so faces minus edges plus vertices among them is the Euler
+characteristic of their nerve, 1, and the point is counted once.  This
+is the nerve argument of Edelsbrunner's short inclusion-exclusion ("The
+union of balls and its dual shape", DCG 13, 1995).  A four-valent vertex
+(delta > 1) would add terms through its diagonal face pairs, which meet
+only there, but it lies at s2, the covering radius: no nearer point lies
+beyond both diagonal faces, and from s2 on the volume is the cell volume
+delta.
 
 The coordinate permutations and the central inversion map L_delta onto
-itself (P B = B P), so they permute the faces.  The arrangement groups
-the pair and triple terms into orbits under these 12 isometries and
-stores one activation per orbit; inclusion-exclusion evaluates one
-representative per orbit and weights it by the orbit size.  Terms that
-activate beyond 1.02 times the covering radius are dropped.  Every pair
-orbit is solved; a triple orbit is solved only if all three of its
-pairs activate below that cutoff, because the triple region lies inside
-each pair region and so activates no nearer than any of them.  Pair and
-triple volumes are both closed form by the divergence theorem,
-3V = r * A_sphere - sum_i d_i * A_face_i; the triple's spherical patch
-comes from Gauss-Bonnet on the intersection of three caps.
-
-For delta > 1 the triple regions appear in the band s1 < r < s2.  For
-delta <= 1 some triple orbits also activate below the covering radius,
-and the regime does not say whether they cancel.  An orbit whose third
-plane is redundant on the lens of the other two (`_triple_checks`
-returns that pair) is containment-degenerate: its triple volume equals
-the pair lens, so it cancels that pair term exactly.  Other orbits have
-no redundant plane and a genuine three-cap region.  At delta 0.9 and
-0.99 the 6-member orbit of faces (-1,-1,0), (-1,0,-1), (-1,0,0) is one
-of them: it activates at 0.997 and 0.948 of the covering radius, and
-its cap triple at 0.9995 of the covering radius is 3.7e-7 and 9.4e-4.
-Cancellation is therefore decided per orbit by `_triple_checks`.
+itself (P B = B P), so they permute the faces, edges and vertices.  The
+arrangement groups the edge and vertex terms into orbits under these 12
+isometries and stores one activation per orbit; inclusion-exclusion
+evaluates one representative per orbit and weights it by the orbit size.
+An edge term enters at the edge line, a vertex term at the least-norm
+point of its three halfspaces (a tiny active-set QP), which need not be
+the vertex.  Pair and triple volumes are both closed form by the
+divergence theorem, 3V = r * A_sphere - sum_i d_i * A_face_i; the
+triple's spherical patch comes from Gauss-Bonnet on the intersection of
+three caps.
 """
 
 from __future__ import annotations
@@ -594,11 +594,11 @@ class TermOrbit:
 
 @dataclass(frozen=True)
 class CapArrangement:
-    """Faces, edges and vertices of a cell, plus the activation tables.
+    """Faces, edges and vertices of a cell, plus its cap terms.
 
-    pair_orbits and triple_orbits hold every face pair / triple whose
-    halfspace intersection comes within 1.02x the covering radius,
-    grouped into symmetry orbits that share the activation distance;
+    pair_orbits are the symmetry orbits of the edges (as face pairs) and
+    triple_orbits those of the three-valent vertices (as face triples),
+    each with the radius at which its cap intersection starts;
     inclusion-exclusion evaluates one representative per orbit and
     weights it by the orbit size.  degenerate flags deltas within 1e-9
     of 1, where the cell is taken to be the cube.
@@ -693,12 +693,13 @@ _CATALOG = {
 }
 
 
-def _term_orbits(images, size: int) -> tuple:
-    """Orbits of the face pairs (size 2) or triples (size 3), each as its
-    members in index order, in the order of their first members."""
+def _term_orbits(images, terms) -> tuple:
+    """Orbits of the sorted face index tuples terms, a set the isometries
+    map onto itself, each as its members in index order, in the order of
+    their first members."""
     orbits = []
     seen = set()
-    for term in itertools.combinations(range(len(images[0])), size):
+    for term in terms:
         if term in seen:
             continue
         members = {tuple(sorted(img[t] for t in term)) for img in images}
@@ -709,19 +710,15 @@ def _term_orbits(images, size: int) -> tuple:
 
 @dataclass(frozen=True)
 class _RegimeTables:
-    """The delta-free part of a cell: everything its catalog fixes.
-
-    triple_orbits pairs each triple orbit with the pair orbits of the
-    three face pairs of its first member (the same for every member).
-    """
+    """The delta-free part of a cell: everything its catalog fixes."""
 
     coeffs: tuple
     points: np.ndarray  # coeffs as a read-only float array
     incidences: tuple
     vertex_faces: np.ndarray  # the first three faces of each vertex
     edges: tuple  # ((i, j), subtype)
-    pair_orbits: tuple
-    triple_orbits: tuple  # (members, pair orbit indices)
+    pair_orbits: tuple  # of the edges
+    triple_orbits: tuple  # of the three-valent vertices
 
 
 @lru_cache(maxsize=None)
@@ -752,13 +749,12 @@ def _regime_tables(regime: str) -> _RegimeTables:
 
     # images[g][i] is the face that isometry g maps face i to
     images = [[index[_image(c, g)] for c in coeffs] for g in _ISOMETRIES]
-    pair_orbits = _term_orbits(images, 2)
-    orbit_of = {m: k for k, members in enumerate(pair_orbits)
-                for m in members}
-    triple_orbits = tuple(
-        (members, tuple(sorted({orbit_of[p] for p in
-                                itertools.combinations(members[0], 2)})))
-        for members in _term_orbits(images, 3))
+    pair_orbits = _term_orbits(images, [pair for pair, _ in edges])
+    # a four-valent vertex (delta > 1) is left out: it lies at the covering
+    # radius, and every term through it holds one of its diagonal face
+    # pairs, whose region starts there
+    triple_orbits = _term_orbits(
+        images, [faces for faces in incidences if len(faces) == 3])
     return _RegimeTables(coeffs=coeffs, points=points, incidences=incidences,
                          vertex_faces=vertex_faces, edges=tuple(edges),
                          pair_orbits=pair_orbits, triple_orbits=triple_orbits)
@@ -792,28 +788,17 @@ def _build_arrangement(delta: float) -> CapArrangement:
         edges.append(Edge(planes=(i, j), distance=_norm(foot),
                           subtype=subtype))
 
-    # activation tables for inclusion-exclusion, one activation per orbit
-    # representative; a triple region lies inside each of its pair
-    # regions, so it activates no nearer than any of them, and a triple
-    # with a pair at or beyond the cutoff is dropped without a solve
-    cutoff = covering_radius(lat) * 1.02
-
-    def activation(term) -> float:
-        idx = list(term)
-        return _activation_radius(normals[idx], dists[idx])
-
-    pair_acts = [activation(members[0]) for members in tables.pair_orbits]
-    pair_orbits = tuple(TermOrbit(members=members, activation=act)
-                        for members, act in zip(tables.pair_orbits, pair_acts)
-                        if act < cutoff)
-    triple_orbits = []
-    for members, pairs in tables.triple_orbits:
-        if all(pair_acts[k] < cutoff for k in pairs):
-            act = activation(members[0])
-            if act < cutoff:
-                triple_orbits.append(TermOrbit(members=members,
-                                               activation=act))
-    triple_orbits = tuple(triple_orbits)
+    # the foot d n of a Voronoi-relevant face lies inside that face, so an
+    # edge's pair region comes nearest on the edge line; a vertex's triple
+    # region need not come nearest at the vertex
+    line = {e.planes: e.distance for e in edges}
+    pair_orbits = tuple(TermOrbit(members=members, activation=line[members[0]])
+                        for members in tables.pair_orbits)
+    triple_orbits = tuple(
+        TermOrbit(members=members,
+                  activation=_activation_radius(normals[list(members[0])],
+                                                dists[list(members[0])]))
+        for members in tables.triple_orbits)
 
     return CapArrangement(delta=delta,
                           degenerate=degenerate,
@@ -825,7 +810,7 @@ def _build_arrangement(delta: float) -> CapArrangement:
 
 
 def build_cap_arrangement(delta: float) -> CapArrangement:
-    """Faces, edges, vertices and activation tables of the cell."""
+    """Faces, edges, vertices and cap terms of the cell."""
     if not (delta > 0.0) or not math.isfinite(delta):
         raise ValueError(f"distortion must be finite and > 0, got {delta}")
     return _build_arrangement(float(delta))
@@ -835,8 +820,8 @@ def build_cap_arrangement(delta: float) -> CapArrangement:
 
 
 def _inclusion_exclusion(arr: CapArrangement, r: float) -> float:
-    """Raw cap sum, one evaluation per orbit times its size; exact below
-    the first four-plane activation."""
+    """Raw cap sum over the faces, edges and three-valent vertices, one
+    evaluation per orbit times its size; exact below the covering radius."""
     vol = unit_ball_volume(3) * r ** 3
     for p in arr.planes:
         if p.distance < r:

@@ -139,7 +139,9 @@ def max_radius_for_overlap(lat: DistortedLattice,
     towards the midpoint by k1 (hi - lo)^2 and projected into the
     interval that keeps the bisection worst case.  Every step keeps
     vol_overlap(lo) <= omega < vol_overlap(hi) and the loop stops at
-    hi - lo <= RADIUS_TOL, returning lo.  Where the overlap is smooth it
+    hi - lo <= max(RADIUS_TOL, ulp(hi)), returning lo: within RADIUS_TOL
+    of the root, or its float neighbour where floats are spaced wider
+    than that (radii above 2^13).  Where the overlap is smooth it
     converges superlinearly (about 12 evaluations instead of 40); it
     never evaluates more than ceil(log2((hi - lo) / RADIUS_TOL)) + 1
     times, one more than bisection of the same bracket.
@@ -165,7 +167,7 @@ def max_radius_for_overlap(lat: DistortedLattice,
     reach = RADIUS_TOL
     while reach < hi - lo:
         reach *= 2.0
-    while hi - lo > RADIUS_TOL:
+    while hi - lo > max(RADIUS_TOL, math.ulp(hi)):
         width = hi - lo
         mid = 0.5 * (lo + hi)
         falsi = lo - f_lo * width / (f_hi - f_lo)
@@ -430,8 +432,16 @@ def crossover_omega(n: int = 3, delta_a: float = 0.5, delta_b: float = 2.0,
 
     Scans the volume-measure density difference qual(b) - qual(a) over
     [0, omega_hi] and requires exactly one sign change, then bisects it
-    to `tol`.  Raises NoCrossoverError when the count is not one.
+    to `tol`.  Raises NoCrossoverError when the count is not one, and
+    ValueError unless tol and omega_hi are finite and > 0 and grid is an
+    integer >= 2.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if not isinstance(grid, numbers.Integral) or grid < 2:
+        raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
+    if not (math.isfinite(omega_hi) and omega_hi > 0.0):
+        raise ValueError(f"omega_hi must be finite and > 0, got {omega_hi}")
     lat_a = DistortedLattice(n, delta_a)
     lat_b = DistortedLattice(n, delta_b)
 

@@ -1,6 +1,7 @@
 """Tests for the 3D cell-ball volume machinery."""
 
 import collections
+import functools
 import itertools
 import math
 import os
@@ -527,40 +528,57 @@ class TestCapArrangement:
         assert len(acts) == 8
         assert all(abs(a - dr.s1) < 1e-9 for a in acts)
 
-    def test_sub_r6_triples_cancel(self):
-        # for delta near 1 some triples activate slightly below r6; each
-        # either short-circuits to one of its own pair volumes or is
-        # matched by a companion pair at the same activation, so the net
-        # correction beyond the edge terms vanishes
-        arr = build_cap_arrangement(0.9)
-        rad = critical_radii_3d(0.9)
-        pair_acts = {m: orb.activation for orb in arr.pair_orbits
-                     for m in orb.members}
-        r = rad.r6 * 0.999
-        triples = [(m, orb.activation) for orb in arr.triple_orbits
-                   for m in orb.members]
-        for (i, j, k), act in triples:
-            if act >= rad.r6 * (1.0 - 1e-9):
-                continue
-            pi, pj, pk = arr.planes[i], arr.planes[j], arr.planes[k]
-            tri = cap_triple_intersection_volume(
-                r, (pi.normal, pi.distance), (pj.normal, pj.distance),
-                (pk.normal, pk.distance))
-            matched = False
-            for a, b in itertools.combinations((i, j, k), 2):
-                pa, pb = arr.planes[a], arr.planes[b]
-                pvol = cap_pair_intersection_volume(
-                    r, (pa.normal, pa.distance), (pb.normal, pb.distance))
-                if tri == pvol or (abs(pair_acts.get((a, b), math.inf) - act)
-                                   < 1e-9 and abs(pvol - tri) < 1e-12):
-                    matched = True
-                    break
-            assert matched
-
     def test_rejects_bad_delta(self):
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 build_cap_arrangement(bad)
+
+
+def _corner_faces(arr, valence):
+    """Sorted face index tuples of the vertices of one valence, read off
+    their positions."""
+    normals = np.array([p.normal for p in arr.planes])
+    dists = np.array([p.distance for p in arr.planes])
+    tol = 1e-9 * max(1.0, float(dists.max()))
+    return sorted(
+        tuple(np.flatnonzero(np.abs(normals @ v.position - dists) < tol)
+              .tolist())
+        for v in arr.vertices if v.valence == valence)
+
+
+EULER_DELTAS = (0.05, 0.5, 0.99, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.01, 2.0,
+                20.0)
+
+
+@pytest.mark.parametrize("delta", EULER_DELTAS)
+def test_visible_faces_count_once(delta):
+    # a point of the covering ball outside the cell sees a ball of faces:
+    # faces - edges + three-valent vertices beyond it is 1, so the cap sum
+    # over the face lattice counts it once; no such point lies beyond
+    # both diagonal faces of a four-valent vertex
+    arr = build_cap_arrangement(delta)
+    normals = np.array([p.normal for p in arr.planes])
+    dists = np.array([p.distance for p in arr.planes])
+    edges = np.array([e.planes for e in arr.edges])
+    cov = covering_radius(DistortedLattice(3, delta))
+    rng = np.random.default_rng(4100)
+    x = rng.uniform(-cov, cov, size=(60_000, 3))
+    x = x[np.einsum("ij,ij->i", x, x) < cov * cov]
+    beyond = x @ normals.T > dists
+    x, beyond = x[beyond.any(axis=1)], beyond[beyond.any(axis=1)]
+    assert len(x) > 1000
+    euler = (beyond.sum(axis=1)
+             - (beyond[:, edges[:, 0]] & beyond[:, edges[:, 1]]).sum(axis=1)
+             + sum(beyond[:, list(f)].all(axis=1)
+                   for f in _corner_faces(arr, 3)))
+    assert np.all(euler == 1)
+    four_valent = _corner_faces(arr, 4)
+    assert len(four_valent) == (6 if delta > 1.0 + 1e-9 else 0)
+    shared = {e.planes for e in arr.edges}
+    for faces in four_valent:
+        for pair in itertools.combinations(faces, 2):
+            if pair not in shared:
+                assert not np.any(beyond[:, list(pair)].all(axis=1))
 
 
 def _relevant_vectors(delta: float, window: int = 3) -> set:
@@ -628,22 +646,20 @@ ORBIT_DELTAS = (0.2, 0.5, 0.9, 1.0, 1.0 - 1e-10, 1.0 + 1e-10, 1.2, 2.0, 3.0,
                 20.0)
 
 
-def _per_term_sum(arr, r):
+def _per_term_sum(planes, pair_orbits, triple_orbits, r):
     """Inclusion-exclusion over every table term, without orbits."""
     vol = V3 * r ** 3
-    for p in arr.planes:
+    for p in planes:
         if p.distance < r:
             vol -= spherical_cap_volume(r, p.distance)
-    for sign, orbits, cap in ((1, arr.pair_orbits,
-                               cap_pair_intersection_volume),
-                              (-1, arr.triple_orbits,
+    for sign, orbits, cap in ((1, pair_orbits, cap_pair_intersection_volume),
+                              (-1, triple_orbits,
                                cap_triple_intersection_volume)):
         for orb in orbits:
             if orb.activation >= r:
                 continue
             for idx in orb.members:
-                vol += sign * cap(r, *[(arr.planes[t].normal,
-                                        arr.planes[t].distance)
+                vol += sign * cap(r, *[(planes[t].normal, planes[t].distance)
                                        for t in idx])
     return vol
 
@@ -651,17 +667,12 @@ def _per_term_sum(arr, r):
 class TestTermOrbits:
     @pytest.mark.parametrize("delta", ORBIT_DELTAS)
     def test_orbits_partition_the_tables(self, delta):
-        # every face pair / triple that activates below the cutoff is a
-        # member of exactly one orbit, and there are fewer orbits than terms
+        # every edge is a member of exactly one pair orbit and the faces of
+        # every three-valent vertex of exactly one triple orbit, and there
+        # are fewer orbits than terms
         arr = build_cap_arrangement(delta)
-        normals = np.array([p.normal for p in arr.planes])
-        dists = np.array([p.distance for p in arr.planes])
-        cutoff = covering_radius(DistortedLattice(3, delta)) * 1.02
-        for size, orbits in ((2, arr.pair_orbits), (3, arr.triple_orbits)):
-            terms = [t for t in itertools.combinations(range(len(normals)),
-                                                       size)
-                     if _activation_radius(normals[list(t)],
-                                           dists[list(t)]) < cutoff]
+        for orbits, terms in ((arr.pair_orbits, [e.planes for e in arr.edges]),
+                              (arr.triple_orbits, _corner_faces(arr, 3))):
             members = sorted(m for o in orbits for m in o.members)
             assert members == terms
             assert len(orbits) < len(terms)
@@ -700,33 +711,34 @@ class TestTermOrbits:
         pack, cov = packing_radius(lat), covering_radius(lat)
         for r in np.linspace(pack, cov, 9)[1:-1]:
             r = float(r)
-            ref = _per_term_sum(arr, r)
+            ref = _per_term_sum(arr.planes, arr.pair_orbits,
+                                arr.triple_orbits, r)
             assert voronoi_ball_volume_3d(delta, r) == pytest.approx(
                 ref, rel=1e-13)
 
 
-def _reference_term_orbits(images, size, normals, dists, cutoff):
-    """Every face pair or triple orbit solved for its activation, kept
-    if it activates below cutoff: the build without regime tables or
-    pair-first pruning."""
+def _reference_term_orbits(images, terms, activation):
+    """Orbits of the sorted face index tuples terms, each with the
+    activation of its first member."""
     orbits = []
     seen = set()
-    for term in itertools.combinations(range(len(dists)), size):
+    for term in terms:
         if term in seen:
             continue
         members = {tuple(sorted(img[t] for t in term)) for img in images}
         seen |= members
-        idx = list(term)
-        act = _activation_radius(normals[idx], dists[idx])
-        if act < cutoff:
-            orbits.append(TermOrbit(members=tuple(sorted(members)),
-                                    activation=act))
+        orbits.append(TermOrbit(members=tuple(sorted(members)),
+                                activation=activation(term)))
     return tuple(orbits)
 
 
+@functools.lru_cache(maxsize=None)
 def _reference_arrangement(delta):
-    """(planes, edges, vertices, pair orbits, triple orbits) of the cell,
-    each worked out from the catalog at this delta alone."""
+    """(planes, edges, vertices, edge orbits, vertex orbits) of the cell,
+    each worked out from the catalog at this delta alone, plus every face
+    pair and triple orbit that activates within 1.02x the covering
+    radius: the inclusion-exclusion tables of the build before it kept
+    only the face lattice."""
     lat = DistortedLattice(3, delta)
     face_reps, vertex_reps = _CATALOG[_regime(delta)]
     coeffs = sorted({_image(c, g) for c in face_reps for g in _ISOMETRIES})
@@ -756,11 +768,24 @@ def _reference_arrangement(delta):
         edges.append(Edge(planes=(i, j),
                           distance=float(np.linalg.norm(foot)),
                           subtype=f"{min(ti, tj)}{max(ti, tj)}|{tdiff}"))
-    cutoff = covering_radius(lat) * 1.02
+
+    def solved(term):
+        return _activation_radius(normals[list(term)], dists[list(term)])
+
     images = [[index[_image(c, g)] for c in coeffs] for g in _ISOMETRIES]
-    return (planes, edges, vertices,
-            _reference_term_orbits(images, 2, normals, dists, cutoff),
-            _reference_term_orbits(images, 3, normals, dists, cutoff))
+    line = {e.planes: e.distance for e in edges}
+    edge_orbits = _reference_term_orbits(
+        images, [e.planes for e in edges], line.get)
+    vertex_orbits = _reference_term_orbits(
+        images, [f for f in incidences if len(f) == 3], solved)
+    cutoff = covering_radius(lat) * 1.02
+    pair_orbits, triple_orbits = (
+        tuple(o for o in _reference_term_orbits(
+            images, itertools.combinations(range(len(planes)), size), solved)
+              if o.activation < cutoff)
+        for size in (2, 3))
+    return (tuple(planes), tuple(edges), tuple(vertices), edge_orbits,
+            vertex_orbits, pair_orbits, triple_orbits)
 
 
 def _regime(delta):
@@ -777,17 +802,30 @@ class TestRegimeTables:
     @pytest.mark.parametrize("delta", TABLE_DELTAS)
     def test_build_equals_reference(self, delta):
         arr = _build_arrangement.__wrapped__(delta)
-        planes, edges, vertices, pair_orbits, triple_orbits = (
+        planes, edges, vertices, edge_orbits, vertex_orbits, _, _ = (
             _reference_arrangement(delta))
-        assert arr.planes == tuple(planes)
+        assert arr.planes == planes
         for got, want in zip(arr.planes, planes):
             assert np.array_equal(got.normal, want.normal)
-        assert arr.edges == tuple(edges)
-        assert arr.vertices == tuple(vertices)
+        assert arr.edges == edges
+        assert arr.vertices == vertices
         for got, want in zip(arr.vertices, vertices):
             assert np.array_equal(got.position, want.position)
-        assert arr.pair_orbits == pair_orbits
-        assert arr.triple_orbits == triple_orbits
+        assert arr.pair_orbits == edge_orbits
+        assert arr.triple_orbits == vertex_orbits
+
+    @pytest.mark.parametrize("delta", TABLE_DELTAS)
+    def test_union_matches_all_pairs_and_triples(self, delta):
+        # the face lattice terms sum to the inclusion-exclusion over every
+        # face pair and triple that activates near the covering radius
+        planes, *_, pair_orbits, triple_orbits = _reference_arrangement(delta)
+        lat = DistortedLattice(3, delta)
+        pack, cov = packing_radius(lat), covering_radius(lat)
+        for r in np.linspace(pack, cov, 43)[1:-1]:
+            r = float(r)
+            ref = _per_term_sum(planes, pair_orbits, triple_orbits, r)
+            assert voronoi_ball_volume_3d(delta, r) == pytest.approx(
+                ref, rel=1e-12)
 
     def test_deltas_of_one_regime_share_a_table(self):
         _regime_tables.cache_clear()
@@ -800,30 +838,11 @@ class TestRegimeTables:
             for orb in arr.pair_orbits:
                 assert any(orb.members is m for m in tables.pair_orbits)
 
-    def test_skipped_triples_activate_beyond_the_cutoff(self):
-        # a triple orbit with a pair at or beyond the cutoff is never
-        # solved; solved here, it must lie beyond the cutoff as well
-        skipped = 0
-        for delta in TABLE_DELTAS:
-            arr = build_cap_arrangement(delta)
-            tables = _regime_tables(_regime(delta))
-            normals = np.array([p.normal for p in arr.planes])
-            dists = np.array([p.distance for p in arr.planes])
-            cutoff = covering_radius(DistortedLattice(3, delta)) * 1.02
-            pair_acts = [_activation_radius(normals[list(m[0])],
-                                            dists[list(m[0])])
-                         for m in tables.pair_orbits]
-            for members, pairs in tables.triple_orbits:
-                if all(pair_acts[k] < cutoff for k in pairs):
-                    continue
-                skipped += 1
-                idx = list(members[0])
-                assert _activation_radius(normals[idx], dists[idx]) >= cutoff
-        assert skipped > 0
-
     @pytest.mark.parametrize("delta", (0.2, 0.5, 0.95, 1.0, 1.2, 2.0, 3.0))
     def test_build_solves_pairs_and_live_triples_only(self, delta,
                                                       monkeypatch):
+        # a pair activation is the edge distance the build already has;
+        # only the representative of each vertex orbit is solved
         solved = []
 
         def counting(normals, dists):
@@ -832,23 +851,11 @@ class TestRegimeTables:
 
         monkeypatch.setattr(geometry3d, "_activation_radius", counting)
         arr = _build_arrangement.__wrapped__(delta)
-        tables = _regime_tables(_regime(delta))
-        assert solved.count(2) == len(tables.pair_orbits)
-        live = {k for k, orb in enumerate(tables.pair_orbits)
-                if any(o.members is orb for o in arr.pair_orbits)}
-        assert solved.count(3) == sum(set(pairs) <= live
-                                      for _, pairs in tables.triple_orbits)
-        assert solved.count(3) < len(tables.triple_orbits)
-
-    def test_triple_pairs_name_the_pair_orbits(self):
-        for regime in ("below", "cube", "above"):
-            tables = _regime_tables(regime)
-            for members, pairs in tables.triple_orbits:
-                for m in members:
-                    got = {k for k, orb in enumerate(tables.pair_orbits)
-                           for p in itertools.combinations(m, 2)
-                           if p in orb}
-                    assert got == set(pairs)
+        assert solved == [3] * len(arr.triple_orbits)
+        assert 1 <= len(solved) <= 2
+        edge_distance = {e.planes: e.distance for e in arr.edges}
+        for orb in arr.pair_orbits:
+            assert orb.activation == edge_distance[orb.members[0]]
 
 
 def test_import_does_not_load_scipy():

@@ -112,6 +112,16 @@ class TestMaxRadiusForOverlap:
         with pytest.raises(ValueError):
             max_radius_for_overlap(lat, VOL, math.nan)
 
+    def test_root_beyond_the_float_spacing_of_the_tolerance(self):
+        # above 2^13 adjacent floats lie farther apart than RADIUS_TOL;
+        # the 2D overlap past the covering radius is pi r^2 / delta - 1
+        lat = DistortedLattice(2, 1.0)
+        omega = 1e9
+        r = max_radius_for_overlap(lat, VOL, omega)
+        assert r == pytest.approx(math.sqrt((1.0 + omega) / math.pi),
+                                  rel=1e-15)
+        assert vol_overlap(lat, r) <= omega
+
 
 class TestVolumeInversionContract:
     @given(n=st.sampled_from((2, 3)),
@@ -466,3 +476,18 @@ class TestCrossoverOmega:
     def test_no_crossover_raises(self):
         with pytest.raises(NoCrossoverError):
             crossover_omega(omega_hi=0.05, grid=11)
+
+    @pytest.mark.parametrize("tol", (0.0, -1.0, math.nan, math.inf))
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            crossover_omega(tol=tol)
+
+    @pytest.mark.parametrize("grid", (1, 0, 11.0, True))
+    def test_rejects_bad_grid(self, grid):
+        with pytest.raises(ValueError, match="grid"):
+            crossover_omega(grid=grid)
+
+    @pytest.mark.parametrize("omega_hi", (-0.5, 0.0, math.nan, math.inf))
+    def test_rejects_bad_omega_hi(self, omega_hi):
+        with pytest.raises(ValueError, match="omega_hi"):
+            crossover_omega(omega_hi=omega_hi)
