@@ -24,16 +24,20 @@ where w_m is the distance from sum u to the nearest integer congruent
 to m modulo n, and the squared distance to the lattice is the least of
 the n class costs: O(n^2) work per row and no table of lattice vectors.
 
-Rows are decoded in blocks whose columns stay in cache.  Each row is
-sorted by a network of column-wise compare-exchanges, which is several
-times faster than a per-row np.sort on short rows.
+Rows are decoded in blocks of _BLOCK rows whose columns stay in cache.
+The Monte Carlo estimators pass a chunk whose rows are drawn only when
+count_covered slices the next block, into one reused buffer (see
+overlatt.oracle), so each block is decoded while it is still in cache.
+Each row is sorted by a network of column-wise compare-exchanges, which
+is several times faster than a per-row np.sort on short rows.
 """
 
 import numpy as np
 
 BACKEND = "numpy"
 
-# rows decoded at a time: the n columns and the temporaries stay in cache
+# rows drawn and decoded at a time: the n columns and the temporaries
+# stay in cache
 _BLOCK = 1 << 14
 
 
@@ -62,13 +66,16 @@ def _squared_distances(u: np.ndarray, offsets: np.ndarray,
             np.maximum(lo, hi, out=tmp)
             np.minimum(lo, hi, out=hi)
             cols[j], tmp = tmp, lo
+    # class 0 has X_0 = 0 and offset 0, and total >= 0 needs no abs
+    best = np.subtract(n, total)
+    np.minimum(total, best, out=best)
+    best *= best
+    best *= weight
     lead = np.zeros_like(total)  # -2 X_m
     w = np.empty_like(total)
-    best = np.full_like(total, np.inf)
-    for m in range(n):
-        if m:
-            lead -= cols[m - 1]
-            lead -= cols[m - 1]
+    for m in range(1, n):
+        lead -= cols[m - 1]
+        lead -= cols[m - 1]
         np.subtract(total, m, out=w)
         np.abs(w, out=w)
         np.subtract(n, w, out=tmp)
@@ -88,13 +95,15 @@ def count_covered(u: np.ndarray, offsets: np.ndarray, weight: float,
 
     Each row's coordinates must spread less than 1, as in [0, 1)^n.
     offsets and weight are the per-class data of
-    lattice.coverage_offsets.
+    lattice.coverage_offsets.  u is read once, in order, as the slices
+    u[s:s + _BLOCK]: an array, or a row source with len() whose slices
+    are arrays, such as the lazily drawn chunks of overlatt.oracle.
     """
-    u = np.asarray(u, dtype=np.float64)
     r2 = r * r
     covered = 0
-    for s in range(0, u.shape[0], _BLOCK):
-        d2 = _squared_distances(u[s:s + _BLOCK], offsets, weight)
+    for s in range(0, len(u), _BLOCK):
+        block = np.asarray(u[s:s + _BLOCK], dtype=np.float64)
+        d2 = _squared_distances(block, offsets, weight)
         covered += int(np.count_nonzero(d2 <= r2))
     return covered
 

@@ -5,6 +5,14 @@ Philox stream jumped(i) from the seed, and chunk results are integer counts,
 so estimates are bit-identical for a given (seed, samples) no matter how the
 chunks are scheduled across threads.
 
+A chunk is drawn in blocks of _kernels._BLOCK rows, each into the same
+reused buffer just before it is counted (_Draws), so each block is decoded
+while it is still in cache and a chunk needs a few MB instead of
+2**20 x n doubles.  Philox turns one uint64 into one double, in the order
+in which rng.random fills its output, so the consecutive block draws are
+exactly the rows of the one-shot draw rng.random((size, n)), and every
+count and estimate stays bit-identical.
+
 mc_union counts the draws u in [0, 1)^n whose point B u lies within r of
 the lattice.  For c in Z^n,
 |B (u - c)|^2 = |P (u - c)|^2 + (delta^2 / n) (sum u - sum c)^2 with P the
@@ -41,12 +49,22 @@ class McEstimate(NamedTuple):
     seed: int
 
 
+def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """value as a Python int, if it is an integer (a numpy one too, but not
+    a bool) in [lo, hi); ValueError naming the argument otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < lo or (hi is not None and value >= hi):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+    return value
+
+
 def resolve_threads(par: int | None) -> int:
     """Thread count: explicit argument, else OVERLATT_THREADS, else 1."""
     if par is not None:
-        if par < 1:
-            raise ValueError(f"thread count must be >= 1, got {par}")
-        return par
+        return _check_int("par", par, 1)
     env = os.environ.get("OVERLATT_THREADS", "").strip()
     if env:
         try:
@@ -69,6 +87,35 @@ def _chunk_sizes(samples: int):
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+
+
+class _Draws:
+    """The rows of rng.random((size, n)), drawn as they are read.
+
+    The rows are read once, in order, as slices of at most _BLOCK rows;
+    each slice is drawn into the same buffer and is valid until the next.
+    len() is the row count, so _kernels.count_covered takes a _Draws as
+    it takes an array of rows.
+    """
+
+    def __init__(self, rng: np.random.Generator, size: int, n: int):
+        self._rng = rng
+        self._size = size
+        self._buf = np.empty((min(size, _kernels._BLOCK), n))
+        self._next = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, step = rows.indices(self._size)
+        if start != self._next or step != 1 or stop - start > len(self._buf):
+            raise IndexError("rows are read once, in order, in slices of at "
+                             f"most {len(self._buf)} rows")
+        block = self._buf[:stop - start]
+        self._rng.random(out=block)
+        self._next = stop
+        return block
 
 
 def _run_chunks(worker, samples: int, seed: int, par: int | None):
@@ -100,11 +147,13 @@ def _binomial_se(p: float, n: int) -> float:
     return math.sqrt(p * (1.0 - p) / (n - 1))
 
 
-def _validate_mc_args(r: float, samples: int):
+def _validate_mc_args(r: float, samples: int, seed: int) -> tuple[int, int]:
+    """samples and seed as Python ints, after checking all three."""
     if not (r >= 0.0) or not math.isfinite(r):
         raise ValueError(f"radius must be finite and >= 0, got {r}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    # Philox takes a 128-bit key, so this range is every seed it can replay
+    return _check_int("samples", samples, 1), _check_int("seed", seed, 0,
+                                                          1 << 128)
 
 
 def mc_union(lat: DistortedLattice, r: float, samples: int = DEFAULT_SAMPLES_CI,
@@ -117,12 +166,12 @@ def mc_union(lat: DistortedLattice, r: float, samples: int = DEFAULT_SAMPLES_CI,
     lattice-periodic.  The kernel decodes the coefficient rows u as
     drawn, one candidate per residue class of sum c mod n.
     """
-    _validate_mc_args(r, samples)
+    samples, seed = _validate_mc_args(r, samples, seed)
     offsets, weight = coverage_offsets(lat)
     n = lat.n
 
     def worker(rng, size):
-        return _kernels.count_covered(rng.random((size, n)), offsets,
+        return _kernels.count_covered(_Draws(rng, size, n), offsets,
                                       weight, r)
 
     covered = _run_chunks(worker, samples, seed, par)
@@ -140,7 +189,8 @@ def mc_vol_overlap(lat: DistortedLattice, r: float,
     """
     est = mc_union(lat, r, samples=samples, seed=seed, par=par)
     density = unit_ball_volume(lat.n) * r ** lat.n / lat.delta
-    return McEstimate(density - est.mean, est.std_error, samples, seed)
+    return McEstimate(density - est.mean, est.std_error, est.samples,
+                      est.seed)
 
 
 def mc_volume_region(r: float, planes, samples: int = DEFAULT_SAMPLES_CI,
@@ -154,7 +204,7 @@ def mc_volume_region(r: float, planes, samples: int = DEFAULT_SAMPLES_CI,
     exact ball volume by the conditional hit fraction.  `samples` counts
     requested cube draws, not ball hits.
     """
-    _validate_mc_args(r, samples)
+    samples, seed = _validate_mc_args(r, samples, seed)
     plist = list(planes)
     if not plist:
         raise ValueError("at least one plane is required")
@@ -167,17 +217,17 @@ def mc_volume_region(r: float, planes, samples: int = DEFAULT_SAMPLES_CI,
     r2 = r * r
 
     def worker(rng, size):
-        u = rng.random((size, n))
-        x = (2.0 * u - 1.0) * r
-        s = x[:, 0] * x[:, 0]
-        for t in range(1, n):
-            s = s + x[:, t] * x[:, t]
-        inside = s <= r2
-        xin = np.ascontiguousarray(x[inside])
-        nin = int(inside.sum())
-        if nin == 0:
-            return (0, 0)
-        return (_kernels.count_beyond_all_planes(xin, normals, dists), nin)
+        draws = _Draws(rng, size, n)
+        beyond = nin = 0
+        for start in range(0, size, _kernels._BLOCK):
+            x = (2.0 * draws[start:start + _kernels._BLOCK] - 1.0) * r
+            s = x[:, 0] * x[:, 0]
+            for t in range(1, n):
+                s = s + x[:, t] * x[:, t]
+            xin = x[s <= r2]
+            beyond += _kernels.count_beyond_all_planes(xin, normals, dists)
+            nin += len(xin)
+        return (beyond, nin)
 
     beyond, nin = _run_chunks(worker, samples, seed, par)
     if nin == 0:

@@ -58,7 +58,61 @@ class TestCountCovered:
             assert weight == 0.7 * 0.7 / n
 
 
+def _class_loop_reference(u, offsets, weight):
+    """The decoder with every class, class 0 included, in one loop."""
+    n = u.shape[1]
+    x = np.array(u.T, dtype=np.float64, order="C")
+    total = x[0].copy()
+    for t in range(1, n):
+        total += x[t]
+    x -= total / n
+    tmp = np.empty_like(total)
+    sq = x[0] * x[0]
+    for t in range(1, n):
+        np.multiply(x[t], x[t], out=tmp)
+        sq += tmp
+    cols = list(x)
+    for i in range(n - 1):
+        for j in range(n - 1 - i):
+            lo, hi = cols[j], cols[j + 1]
+            np.maximum(lo, hi, out=tmp)
+            np.minimum(lo, hi, out=hi)
+            cols[j], tmp = tmp, lo
+    lead = np.zeros_like(total)
+    w = np.empty_like(total)
+    best = np.full_like(total, np.inf)
+    for m in range(n):
+        if m:
+            lead -= cols[m - 1]
+            lead -= cols[m - 1]
+        np.subtract(total, m, out=w)
+        np.abs(w, out=w)
+        np.subtract(n, w, out=tmp)
+        np.minimum(w, tmp, out=w)
+        np.multiply(w, w, out=w)
+        w *= weight
+        w += lead
+        w += offsets[m]
+        np.minimum(best, w, out=best)
+    best += sq
+    return best
+
+
 class TestSquaredDistances:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_class_zero_shortcut_is_exact(self, n):
+        # class 0 skips adding its zero lead and offset and the abs of a
+        # nonnegative sum; the results must not move by one bit
+        rng = np.random.default_rng(80 + n)
+        u = np.vstack([rng.random((3000, n)), np.zeros((1, n)),
+                       np.full((1, n), 0.5), np.eye(n)[:1]])
+        for delta in np.geomspace(0.05, 20.0, 9):
+            offsets, weight = coverage_offsets(DistortedLattice(n,
+                                                                float(delta)))
+            got = _kernels._squared_distances(u, offsets, weight)
+            assert np.array_equal(got, _class_loop_reference(u, offsets,
+                                                             weight))
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_window_search(self, n, brute_nearest):
         u = np.random.default_rng(40 + n).random((500, n))

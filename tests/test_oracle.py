@@ -6,8 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from overlatt import _kernels
+from overlatt._kernels import _BLOCK
 from overlatt.lattice import (
     DistortedLattice,
+    coverage_offsets,
     covering_radius,
     packing_radius,
     unit_ball_volume,
@@ -15,6 +18,8 @@ from overlatt.lattice import (
 from overlatt.oracle import (
     CHUNK,
     McEstimate,
+    _chunk_rng,
+    _Draws,
     mc_union,
     mc_vol_overlap,
     mc_volume_region,
@@ -22,6 +27,14 @@ from overlatt.oracle import (
 )
 
 HEX = DistortedLattice(2, 1.0 / math.sqrt(3.0))
+
+
+def _one_shot_chunks(samples, seed, n):
+    """Each chunk's rows drawn in one call, as the estimators once did."""
+    full, rem = divmod(samples, CHUNK)
+    sizes = [CHUNK] * full + ([rem] if rem else [])
+    for i, size in enumerate(sizes):
+        yield _chunk_rng(seed, i).random((size, n))
 
 
 class TestDeterminism:
@@ -99,6 +112,114 @@ class TestUnion:
             mc_union(HEX, -0.1, samples=100)
         with pytest.raises(ValueError):
             mc_union(HEX, 0.1, samples=0)
+
+    def test_chunk_memory_is_bounded(self):
+        # a chunk is drawn block by block: one 2^20 x 8 draw alone is 64 MB
+        lat = DistortedLattice(8, 1.3)
+        r = 0.5 * (packing_radius(lat) + covering_radius(lat))
+        tracemalloc.start()
+        try:
+            est = mc_union(lat, r, samples=CHUNK, seed=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        assert 0.0 < est.mean < 1.0
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize("name,value", [
+        ("samples", 1e5),
+        ("samples", True),
+        ("seed", 1.5),
+        ("seed", -1),
+        ("seed", 1 << 128),
+        ("par", 1.5),
+        ("par", True),
+    ])
+    def test_rejects_non_integer_or_out_of_range(self, name, value):
+        kwargs = {"samples": 1000, "seed": 0, "par": 1, name: value}
+        with pytest.raises(ValueError, match=name):
+            mc_union(HEX, 0.3, **kwargs)
+
+    def test_region_validates_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            mc_volume_region(1.0, [([1.0, 0.0], 0.0)], samples=100, seed=1.5)
+
+    @pytest.mark.parametrize("par", [1.5, True])
+    def test_resolve_threads_rejects(self, par):
+        with pytest.raises(ValueError, match="par"):
+            resolve_threads(par)
+
+    def test_numpy_integers_accepted(self):
+        a = mc_union(HEX, 0.3, samples=np.int64(5000), seed=np.uint64(3),
+                     par=np.int32(2))
+        assert a == mc_union(HEX, 0.3, samples=5000, seed=3, par=2)
+        assert type(a.samples) is int and type(a.seed) is int
+
+    def test_largest_seed_accepted(self):
+        est = mc_union(HEX, 0.3, samples=1000, seed=(1 << 128) - 1)
+        assert est.seed == (1 << 128) - 1
+
+
+class TestBlockStreaming:
+    """Drawing a chunk block by block gives the one-shot draw's counts."""
+
+    def test_draws_are_the_one_shot_rows(self):
+        size = 2 * _BLOCK + 9
+        draws = _Draws(_chunk_rng(5, 1), size, 3)
+        rows = [draws[s:s + _BLOCK].copy() for s in range(0, size, _BLOCK)]
+        assert len(draws) == size
+        assert np.array_equal(np.vstack(rows),
+                              _chunk_rng(5, 1).random((size, 3)))
+
+    def test_draws_are_read_once_in_order(self):
+        draws = _Draws(_chunk_rng(5, 0), 3 * _BLOCK, 2)
+        with pytest.raises(IndexError):
+            draws[_BLOCK:2 * _BLOCK]
+        with pytest.raises(IndexError):
+            draws[0:_BLOCK + 1]
+        draws[0:_BLOCK]
+        with pytest.raises(IndexError):
+            draws[0:_BLOCK]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_union_counts_match_one_shot_draw(self, n):
+        lat = DistortedLattice(n, 0.7)
+        offsets, weight = coverage_offsets(lat)
+        r = 0.5 * (packing_radius(lat) + covering_radius(lat))
+        cases = [(_BLOCK - 1, 1), (_BLOCK, 1), (_BLOCK + 1, 1),
+                 (3 * _BLOCK + 5, 1), (CHUNK + _BLOCK + 3, 1),
+                 (CHUNK + _BLOCK + 3, 2)]
+        for samples, par in cases:
+            covered = sum(_kernels.count_covered(u, offsets, weight, r)
+                          for u in _one_shot_chunks(samples, 61, n))
+            est = mc_union(lat, r, samples=samples, seed=61, par=par)
+            assert 0 < covered < samples
+            assert est.mean == covered / samples
+
+    @pytest.mark.parametrize("par", [1, 2])
+    def test_region_counts_match_one_shot_draw(self, par):
+        r = 1.0
+        planes = [([1.0, 0.0, 0.0], 0.1), ([0.0, 0.6, 0.8], -0.2)]
+        normals = np.array([p for p, _ in planes])
+        dists = np.array([d for _, d in planes])
+        samples = CHUNK + 3 * _BLOCK + 7
+        beyond = inside = 0
+        for u in _one_shot_chunks(samples, 62, 3):
+            x = (2.0 * u - 1.0) * r
+            s = x[:, 0] * x[:, 0]
+            for t in range(1, 3):
+                s = s + x[:, t] * x[:, t]
+            xin = np.ascontiguousarray(x[s <= r * r])
+            beyond += _kernels.count_beyond_all_planes(xin, normals, dists)
+            inside += len(xin)
+        est = mc_volume_region(r, planes, samples=samples, seed=62, par=par)
+        vball = unit_ball_volume(3)
+        p = beyond / inside
+        assert est.mean == vball * p
+        assert est.std_error == vball * math.sqrt(p * (1.0 - p)
+                                                  / (inside - 1))
 
 
 class TestVolOverlap:
