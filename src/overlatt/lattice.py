@@ -47,12 +47,24 @@ class DistortedLattice:
     The basis matrix has column i equal to e_i + ((delta - 1)/n) * ones.
     All columns share the same pairwise inner product, so the family keeps
     full permutation symmetry of the coordinates.
+
+    n is any integer >= 2 (a numpy integer is stored as a Python int;
+    bools and floats are rejected).  Density and the Monte Carlo oracle
+    work in every dimension; union and the volume overlap have closed
+    forms for n = 2 and 3 only.
     """
 
     n: int
     delta: float
 
     def __post_init__(self):
+        n = self.n
+        if type(n) is not int:
+            # _objective builds thousands of lattices: keep int n cheap
+            if isinstance(n, bool) or not isinstance(n, np.integer):
+                raise ValueError(f"dimension must be an integer >= 2, "
+                                 f"got {n!r}")
+            object.__setattr__(self, "n", int(n))
         if self.n < 2:
             raise ValueError(f"dimension must be >= 2, got {self.n}")
         if not (self.delta > 0.0) or not math.isfinite(self.delta):

@@ -85,7 +85,10 @@ def _validate_radius(r: float, positive: bool = False):
 
 
 def density(lat: DistortedLattice, r: float) -> float:
-    """Expected number of balls covering a uniformly random point."""
+    """Expected number of balls covering a uniformly random point.
+
+    Exact in every dimension n >= 2.
+    """
     _validate_radius(r)
     return _density(lat, r)
 
@@ -134,7 +137,11 @@ def dist_overlap(lat: DistortedLattice, r: float) -> float:
 def vol_overlap(lat: DistortedLattice, r: float, *,
                 samples: int | None = None, seed: int = 0,
                 par: int | None = None) -> float:
-    """Expected over-coverage of a point: density minus union."""
+    """Expected over-coverage of a point: density minus union.
+
+    Supports the same dimensions as union_fraction: closed form for
+    n = 2 and 3, the Monte Carlo oracle (samples=) for any n.
+    """
     # union_fraction validates r
     return (_density(lat, r)
             - union_fraction(lat, r, samples=samples, seed=seed, par=par))
@@ -171,6 +178,8 @@ def measure_report(lat: DistortedLattice, r: float, *,
 
     Union is evaluated once and reused for vol_overlap, so the identity
     vol_overlap = density - union is exact even on the oracle path.
+    Dimensions as for union_fraction: closed form for n = 2 and 3, the
+    Monte Carlo oracle (samples=) for any n.
     """
     _validate_radius(r, positive=True)
     dens = density(lat, r)

@@ -164,7 +164,8 @@ def mc_union(lat: DistortedLattice, r: float, samples: int = DEFAULT_SAMPLES_CI,
     u uniform in [0, 1)^n; the covered fraction equals
     vol(ball_r intersect Voronoi cell) / delta because the ball union is
     lattice-periodic.  The kernel decodes the coefficient rows u as
-    drawn, one candidate per residue class of sum c mod n.
+    drawn, one candidate per residue class of sum c mod n, so any
+    dimension n >= 2 works.
     """
     samples, seed = _validate_mc_args(r, samples, seed)
     offsets, weight = coverage_offsets(lat)
@@ -185,7 +186,7 @@ def mc_vol_overlap(lat: DistortedLattice, r: float,
     """Estimate density minus covered fraction (the volume lost to overlap).
 
     Density is exact (unit_ball_volume(n) * r^n / delta), so the standard
-    error is the union estimate's.
+    error is the union estimate's.  Any dimension n >= 2, as mc_union.
     """
     est = mc_union(lat, r, samples=samples, seed=seed, par=par)
     density = unit_ball_volume(lat.n) * r ** lat.n / lat.delta

@@ -22,6 +22,7 @@ from .lattice import (
 from .measures import (
     NoClosedFormError,
     OverlapMeasure,
+    _density,
     density,
     free_space,
     overlap_value,
@@ -51,6 +52,9 @@ RADIUS_TOL = 1e-12
 # branch kinks where a delta error of g leaves a value error of
 # slope * g; refining to 1e-11 keeps that error under TIE_TOL
 DELTA_REFINE_TOL = 1e-11
+# crossover_omega tells two densities apart once their intervals lie
+# this far apart, relative; far above the ulp-level error of r ** n
+SEPARATION_TOL = 1e-12
 
 
 class QualityMode(enum.Enum):
@@ -144,16 +148,35 @@ def max_radius_for_overlap(lat: DistortedLattice,
     than that (radii above 2^13).  Where the overlap is smooth it
     converges superlinearly (about 12 evaluations instead of 40); it
     never evaluates more than ceil(log2((hi - lo) / RADIUS_TOL)) + 1
-    times, one more than bisection of the same bracket.
+    times, one more than bisection of the same bracket.  The brackets
+    come from `_overlap_brackets`, whose sequence crossover_omega steps
+    through as well.
+
+    The distance measure works in any dimension n >= 2.  The volume
+    measure uses the closed-form union of n = 2 and 3; for n > 3 it
+    raises NoClosedFormError once it evaluates the overlap strictly
+    between the packing and covering radii.
     """
     _validate_omega(measure, omega)
     if measure is OverlapMeasure.DISTANCE_BASED:
         return shortest_vector_norm(lat) / (2.0 * (1.0 - omega))
     if measure is not OverlapMeasure.VOLUME_BASED:
         raise ValueError(f"unknown overlap measure {measure!r}")
-    lo = packing_radius(lat)
     if omega == 0.0:
-        return lo
+        return packing_radius(lat)
+    for lo, _ in _overlap_brackets(lat, omega):
+        pass
+    return lo
+
+
+def _overlap_brackets(lat: DistortedLattice, omega: float):
+    """Yield the volume inversion's brackets (lo, hi) for omega > 0.
+
+    The first comes after the doubling, then one after every ITP step;
+    each keeps vol_overlap(lo) <= omega < vol_overlap(hi), and each
+    nests in the one before.  The last lo is the inverted radius.
+    """
+    lo = packing_radius(lat)
     f_lo = -omega  # the overlap is exactly zero at the packing radius
     hi = 2.0 * lo
     f_hi = vol_overlap(lat, hi) - omega
@@ -161,6 +184,7 @@ def max_radius_for_overlap(lat: DistortedLattice,
         lo, f_lo = hi, f_hi
         hi *= 2.0
         f_hi = vol_overlap(lat, hi) - omega
+    yield lo, hi
     k1 = 0.2 / (hi - lo)
     # bound on the bracket width after the next step: RADIUS_TOL 2^m at
     # least hi - lo, halved each step (eps 2^(n_max - j) with n0 = 1)
@@ -187,7 +211,7 @@ def max_radius_for_overlap(lat: DistortedLattice,
         else:
             hi, f_hi = x, f_x
         reach *= 0.5
-    return lo
+        yield lo, hi
 
 
 def _union_or_nan(lat: DistortedLattice, r: float) -> float:
@@ -199,7 +223,12 @@ def _union_or_nan(lat: DistortedLattice, r: float) -> float:
 
 def qual_packing(lat: DistortedLattice, measure: OverlapMeasure,
                  omega: float) -> QualityResult:
-    """Maximal density whose overlap stays within omega."""
+    """Maximal density whose overlap stays within omega.
+
+    Dimensions as max_radius_for_overlap: any n >= 2 for the distance
+    measure, the closed forms of n = 2 and 3 for the volume measure.
+    The union column is NaN where n > 3 has no closed form.
+    """
     r = max_radius_for_overlap(lat, measure, omega)
     return QualityResult(
         delta=lat.delta,
@@ -217,6 +246,8 @@ def qual_covering(lat: DistortedLattice, omega: float) -> QualityResult:
     """Minimal density whose free space stays within omega.
 
     The free-space constraint inverts exactly: r = covering/(1 + omega).
+    Any dimension n >= 2; the union column is NaN where n > 3 has no
+    closed form.
     """
     _validate_omega(None, omega)
     r = covering_radius(lat) / (1.0 + omega)
@@ -337,6 +368,9 @@ def optimize_delta(query: QualityQuery) -> OptimizeResult:
     collapsed when closer than 1e-6.  Runs of three or more tied scan
     points mark a genuinely flat optimum; those are returned as plateau
     intervals with bisection-refined edges instead of single points.
+
+    Covering and the distance measure work in any dimension n >= 2; the
+    volume measure needs the closed forms of n = 2 and 3.
     """
     _validate_query(query)
     lo, hi = query.delta_range
@@ -425,6 +459,20 @@ def optimize_delta(query: QualityQuery) -> OptimizeResult:
     )
 
 
+def _packing_density_bounds(lat: DistortedLattice, omega: float):
+    """Yield nested intervals (lo, hi) holding the volume-measure packing
+    density at budget omega: one per bracket of the inversion, then the
+    exact value as (d, d), the density qual_packing reports."""
+    if omega == 0.0:
+        d = _density(lat, packing_radius(lat))
+        yield d, d
+        return
+    for r_lo, r_hi in _overlap_brackets(lat, omega):
+        yield _density(lat, r_lo), _density(lat, r_hi)
+    d = _density(lat, r_lo)
+    yield d, d
+
+
 def crossover_omega(n: int = 3, delta_a: float = 0.5, delta_b: float = 2.0,
                     omega_hi: float = 0.5, tol: float = 1e-6,
                     grid: int = 51) -> float:
@@ -434,7 +482,20 @@ def crossover_omega(n: int = 3, delta_a: float = 0.5, delta_b: float = 2.0,
     [0, omega_hi] and requires exactly one sign change, then bisects it
     to `tol`.  Raises NoCrossoverError when the count is not one, and
     ValueError unless tol and omega_hi are finite and > 0 and grid is an
-    integer >= 2.
+    integer >= 2.  n is 2 or 3, where the volume overlap has a closed
+    form; other dimensions have none and raise NoClosedFormError.
+
+    Both only read the sign of the difference, so each evaluation steps
+    the two inversions' ITP brackets in turn, always the one whose
+    density interval [density(lo), density(hi)] is wider, and stops as
+    soon as the two intervals lie more than SEPARATION_TOL (relative)
+    apart.  This is exact: the brackets nest and the inverted radius is
+    the last lo, so each interval holds the density qual_packing
+    reports, up to the ulp-level rounding of r ** n that the margin
+    covers.  Where the intervals never separate (equal or nearly equal
+    densities), both inversions run to the end and the exact difference
+    is returned, so every sign the scan and the bisection see is that
+    of the full difference.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
@@ -446,10 +507,26 @@ def crossover_omega(n: int = 3, delta_a: float = 0.5, delta_b: float = 2.0,
     lat_b = DistortedLattice(n, delta_b)
 
     def diff(omega: float) -> float:
-        return (qual_packing(lat_b, OverlapMeasure.VOLUME_BASED,
-                             omega).density
-                - qual_packing(lat_a, OverlapMeasure.VOLUME_BASED,
-                               omega).density)
+        # +-1.0 once the sign is decided, else the exact difference
+        sides = (_packing_density_bounds(lat_a, omega),
+                 _packing_density_bounds(lat_b, omega))
+        bounds = [next(side) for side in sides]
+        while True:
+            (a_lo, a_hi), (b_lo, b_hi) = bounds
+            margin = SEPARATION_TOL * max(a_hi, b_hi)
+            if b_lo - a_hi > margin:
+                return 1.0
+            if a_lo - b_hi > margin:
+                return -1.0
+            # advance the wider interval, or the other once it is done
+            order = (0, 1) if a_hi - a_lo >= b_hi - b_lo else (1, 0)
+            for i in order:
+                step = next(sides[i], None)
+                if step is not None:
+                    bounds[i] = step
+                    break
+            else:
+                return b_lo - a_lo
 
     omegas = [omega_hi * i / (grid - 1) for i in range(grid)]
     values = [diff(w) for w in omegas]

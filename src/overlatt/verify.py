@@ -17,13 +17,14 @@ from .lattice import (
     packing_radius,
 )
 from .geometry3d import dual_radii_3d
-from .measures import OverlapMeasure, union_fraction
+from .measures import OverlapMeasure, density, union_fraction
 from .oracle import mc_union
 from .quality import (
     NoCrossoverError,
     QualityMode,
     QualityQuery,
     crossover_omega,
+    max_radius_for_overlap,
     optimize_delta,
     qual_covering,
     qual_packing,
@@ -155,8 +156,8 @@ def _theorem_checks() -> list[CheckResult]:
             observed=f"{omega_star:.6g}",
             expected="in [0.08, 0.12]"))
         for delta in (0.5, 2.0):
-            dens = qual_packing(DistortedLattice(3, delta), vol,
-                                omega_star).density
+            lat = DistortedLattice(3, delta)
+            dens = density(lat, max_radius_for_overlap(lat, vol, omega_star))
             checks.append(CheckResult(
                 name=f"density at crossover delta={delta}",
                 passed=1.01 <= dens <= 1.05,

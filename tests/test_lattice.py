@@ -92,6 +92,17 @@ class TestDistortedLattice:
         with pytest.raises(ValueError):
             DistortedLattice(2, float("inf"))
 
+    @pytest.mark.parametrize("n", (2.5, 3.0, "3", True, np.float64(3)))
+    def test_rejects_non_integer_dimension(self, n):
+        with pytest.raises(ValueError, match="dimension"):
+            DistortedLattice(n, 1.3)
+
+    def test_numpy_integer_dimension_is_a_python_int(self):
+        lat = DistortedLattice(np.int64(3), 1.3)
+        assert type(lat.n) is int
+        assert lat == DistortedLattice(3, 1.3)
+        assert hash(lat) == hash(DistortedLattice(3, 1.3))
+
 
 class TestNamedLattice:
     def test_resolutions(self):

@@ -454,6 +454,96 @@ class TestOptimizeDeltaBreakpoints:
             assert coarse.plateau == fine.plateau, query
 
 
+def full_crossover(n=3, delta_a=0.5, delta_b=2.0, omega_hi=0.5, tol=1e-6,
+                   grid=51):
+    """Reference crossover: the same scan and bisection as crossover_omega,
+    each sign read from the full qual_packing density difference."""
+    lat_a = DistortedLattice(n, delta_a)
+    lat_b = DistortedLattice(n, delta_b)
+
+    def diff(omega):
+        return (qual_packing(lat_b, VOL, omega).density
+                - qual_packing(lat_a, VOL, omega).density)
+
+    omegas = [omega_hi * i / (grid - 1) for i in range(grid)]
+    values = [diff(w) for w in omegas]
+    flips = [i for i in range(len(values) - 1)
+             if values[i] > 0.0 >= values[i + 1]
+             or values[i] < 0.0 <= values[i + 1]]
+    if len(flips) != 1:
+        raise NoCrossoverError(f"found {len(flips)}")
+    lo, hi = omegas[flips[0]], omegas[flips[0] + 1]
+    flo = values[flips[0]]
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        fmid = diff(mid)
+        if (flo > 0.0) == (fmid > 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestCrossoverMatchesFullDifference:
+    """Signs read off the inversion brackets change no bit of the result."""
+
+    @pytest.mark.parametrize("kwargs", (
+        {}, {"tol": 1e-9}, {"grid": 11}, {"grid": 101, "omega_hi": 1.0},
+        {"delta_a": 0.7}))
+    def test_bit_identical(self, kwargs):
+        assert crossover_omega(**kwargs) == full_crossover(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", (
+        {"omega_hi": 0.05, "grid": 11},
+        {"delta_a": 2.0},
+        # past the covering radius both 2D densities are 1 + omega, so
+        # the difference is rounding noise and every sign needs the
+        # exact value
+        {"n": 2, "delta_a": 1.0 / SQRT3, "delta_b": 1.0, "omega_hi": 1.0}))
+    def test_both_raise_no_crossover(self, kwargs):
+        with pytest.raises(NoCrossoverError) as ours:
+            crossover_omega(**kwargs)
+        with pytest.raises(NoCrossoverError) as ref:
+            full_crossover(**kwargs)
+        assert str(ours.value).endswith(str(ref.value))
+
+    def test_vol_overlap_call_budget(self, monkeypatch):
+        # a deterministic cost guard: the full difference takes 1,588
+        # inversion-side overlap evaluations, the bracket signs 791
+        calls = []
+
+        def counted(lat, r, **kwargs):
+            calls.append(r)
+            return vol_overlap(lat, r, **kwargs)
+
+        def no_union(lat, r):
+            raise AssertionError("crossover_omega evaluated a union column")
+
+        monkeypatch.setattr(quality, "vol_overlap", counted)
+        monkeypatch.setattr(quality, "_union_or_nan", no_union)
+        assert crossover_omega() == 0.10609771728515627
+        assert len(calls) <= 900
+
+
+class TestOverlapBrackets:
+    @pytest.mark.parametrize("n, delta, omega", (
+        (2, 0.4, 0.05), (2, 1.0, 0.7), (2, 3.0, 0.1), (3, 0.5, 0.2),
+        (3, 2.0, 0.05), (3, 1.805, 0.00687), (3, 0.7, 1.5)))
+    def test_brackets_nest_and_end_at_the_inverted_radius(self, n, delta,
+                                                          omega):
+        lat = DistortedLattice(n, delta)
+        pack = packing_radius(lat)
+        brackets = list(quality._overlap_brackets(lat, omega))
+        assert brackets
+        prev_lo, prev_hi = pack, math.inf
+        for lo, hi in brackets:
+            assert prev_lo <= lo < hi <= prev_hi
+            assert lo == pack or vol_overlap(lat, lo) <= omega
+            assert omega < vol_overlap(lat, hi)
+            prev_lo, prev_hi = lo, hi
+        assert brackets[-1][0] == max_radius_for_overlap(lat, VOL, omega)
+
+
 class TestCrossoverOmega:
     def test_crossover_location_and_level(self):
         omega_star = crossover_omega()
