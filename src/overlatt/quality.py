@@ -6,7 +6,9 @@ at that radius.  Packing maximizes density subject to an overlap bound;
 covering minimizes density subject to a free-space bound.
 """
 
+import bisect
 import enum
+import functools
 import math
 import numbers
 from typing import NamedTuple
@@ -149,8 +151,8 @@ def max_radius_for_overlap(lat: DistortedLattice,
     converges superlinearly (about 12 evaluations instead of 40); it
     never evaluates more than ceil(log2((hi - lo) / RADIUS_TOL)) + 1
     times, one more than bisection of the same bracket.  The brackets
-    come from `_overlap_brackets`, whose sequence crossover_omega steps
-    through as well.
+    come from `_overlap_brackets`, which crossover_omega steps through
+    from the tightest start bracket its overlap memo holds.
 
     The distance measure works in any dimension n >= 2.  The volume
     measure uses the closed-form union of n = 2 and 3; for n > 3 it
@@ -169,21 +171,74 @@ def max_radius_for_overlap(lat: DistortedLattice,
     return lo
 
 
-def _overlap_brackets(lat: DistortedLattice, omega: float):
+class _OverlapMemo:
+    """vol_overlap of one lattice at every radius evaluated so far.
+
+    The overlap is monotone in r, so each stored radius brackets the
+    inversion of every later omega.  The packing radius is stored from
+    the start with its exact overlap 0.
+    """
+
+    def __init__(self, lat: DistortedLattice):
+        self.lat = lat
+        self.pack = packing_radius(lat)
+        self.radii = [self.pack]  # sorted and distinct
+        self.values = [0.0]
+
+    def overlap(self, r: float) -> float:
+        """vol_overlap(lat, r), evaluated once per radius."""
+        i = bisect.bisect_left(self.radii, r)
+        if i < len(self.radii) and self.radii[i] == r:
+            return self.values[i]
+        value = vol_overlap(self.lat, r)
+        self.radii.insert(i, r)
+        self.values.insert(i, value)
+        return value
+
+    def bracket(self, omega: float):
+        """(lo, f_lo, hi, f_hi) with f = overlap - omega, f_lo <= 0 < f_hi.
+
+        lo and hi are neighbours in the memo; hi and f_hi are inf when
+        no stored overlap exceeds omega.  The binary search keeps
+        values[i - 1] <= omega < values[i] even where rounding breaks
+        the monotonicity, and values[0] = 0 <= omega keeps i >= 1.
+        """
+        i = bisect.bisect_right(self.values, omega)
+        lo, f_lo = self.radii[i - 1], self.values[i - 1] - omega
+        if i == len(self.radii):
+            return lo, f_lo, math.inf, math.inf
+        return lo, f_lo, self.radii[i], self.values[i] - omega
+
+
+def _overlap_brackets(lat: DistortedLattice, omega: float,
+                      memo: _OverlapMemo | None = None):
     """Yield the volume inversion's brackets (lo, hi) for omega > 0.
 
-    The first comes after the doubling, then one after every ITP step;
-    each keeps vol_overlap(lo) <= omega < vol_overlap(hi), and each
-    nests in the one before.  The last lo is the inverted radius.
+    The start bracket is the tightest one the memo holds, or [packing
+    radius, inf] without a memo; an infinite hi doubles from 2 *
+    packing radius until the overlap there exceeds omega.  With a memo
+    every evaluation goes through it.  The first bracket yielded is the
+    start after any doubling, then one follows every ITP step; each
+    keeps vol_overlap(lo) <= omega < vol_overlap(hi), and each nests in
+    the one before.  Without a memo the last lo is the inverted radius.
     """
-    lo = packing_radius(lat)
-    f_lo = -omega  # the overlap is exactly zero at the packing radius
-    hi = 2.0 * lo
-    f_hi = vol_overlap(lat, hi) - omega
-    while f_hi <= 0.0:
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        f_hi = vol_overlap(lat, hi) - omega
+    pack = packing_radius(lat)
+    if memo is None:
+        # the overlap is exactly zero at the packing radius
+        lo, f_lo, hi, f_hi = pack, -omega, math.inf, math.inf
+        evaluate = functools.partial(vol_overlap, lat)
+    else:
+        lo, f_lo, hi, f_hi = memo.bracket(omega)
+        evaluate = memo.overlap
+    if hi == math.inf:
+        hi = 2.0 * pack
+        while hi <= lo:
+            hi *= 2.0
+        f_hi = evaluate(hi) - omega
+        while f_hi <= 0.0:
+            lo, f_lo = hi, f_hi
+            hi *= 2.0
+            f_hi = evaluate(hi) - omega
     yield lo, hi
     k1 = 0.2 / (hi - lo)
     # bound on the bracket width after the next step: RADIUS_TOL 2^m at
@@ -205,7 +260,7 @@ def _overlap_brackets(lat: DistortedLattice, omega: float):
         if not lo < x < hi:
             # falsi can round onto an end, whose overlap is known
             x = mid
-        f_x = vol_overlap(lat, x) - omega
+        f_x = evaluate(x) - omega
         if f_x <= 0.0:
             lo, f_lo = x, f_x
         else:
@@ -230,13 +285,19 @@ def qual_packing(lat: DistortedLattice, measure: OverlapMeasure,
     The union column is NaN where n > 3 has no closed form.
     """
     r = max_radius_for_overlap(lat, measure, omega)
+    union = _union_or_nan(lat, r)
+    if measure is OverlapMeasure.VOLUME_BASED and not math.isnan(union):
+        # vol_overlap's own expression, without a second union evaluation
+        overlap = _density(lat, r) - union
+    else:
+        overlap = overlap_value(lat, r, measure)
     return QualityResult(
         delta=lat.delta,
         omega=omega,
         r=r,
         density=density(lat, r),
-        union=_union_or_nan(lat, r),
-        overlap=overlap_value(lat, r, measure),
+        union=union,
+        overlap=overlap,
         mode=QualityMode.PACKING.value,
         measure=measure.value,
     )
@@ -459,18 +520,18 @@ def optimize_delta(query: QualityQuery) -> OptimizeResult:
     )
 
 
-def _packing_density_bounds(lat: DistortedLattice, omega: float):
-    """Yield nested intervals (lo, hi) holding the volume-measure packing
-    density at budget omega: one per bracket of the inversion, then the
-    exact value as (d, d), the density qual_packing reports."""
+def _packing_density_bounds(memo: _OverlapMemo, omega: float):
+    """Yield nested intervals (lo, hi) that hold the volume-measure
+    packing density at budget omega up to the margin crossover_omega
+    adds: one per bracket of the inversion through the memo, or the
+    exact value as (d, d) at omega = 0."""
+    lat = memo.lat
     if omega == 0.0:
-        d = _density(lat, packing_radius(lat))
+        d = _density(lat, memo.pack)
         yield d, d
         return
-    for r_lo, r_hi in _overlap_brackets(lat, omega):
+    for r_lo, r_hi in _overlap_brackets(lat, omega, memo):
         yield _density(lat, r_lo), _density(lat, r_hi)
-    d = _density(lat, r_lo)
-    yield d, d
 
 
 def crossover_omega(n: int = 3, delta_a: float = 0.5, delta_b: float = 2.0,
@@ -488,14 +549,23 @@ def crossover_omega(n: int = 3, delta_a: float = 0.5, delta_b: float = 2.0,
     Both only read the sign of the difference, so each evaluation steps
     the two inversions' ITP brackets in turn, always the one whose
     density interval [density(lo), density(hi)] is wider, and stops as
-    soon as the two intervals lie more than SEPARATION_TOL (relative)
-    apart.  This is exact: the brackets nest and the inverted radius is
-    the last lo, so each interval holds the density qual_packing
-    reports, up to the ulp-level rounding of r ** n that the margin
-    covers.  Where the intervals never separate (equal or nearly equal
-    densities), both inversions run to the end and the exact difference
-    is returned, so every sign the scan and the bisection see is that
-    of the full difference.
+    soon as the two intervals lie more than a margin apart.  Each
+    lattice keeps one overlap memo for the call: every radius is
+    evaluated at most once, and each inversion starts from the tightest
+    bracket the radii evaluated so far give (the overlap is monotone in
+    r), not from the doubling of the packing radius.
+
+    This is exact.  qual_packing's radius r* is the last lo of the
+    memo-less inversion, whose last bracket is at most RADIUS_TOL wide,
+    so r* lies in (lo - RADIUS_TOL, hi) for every memo bracket.  The
+    density c r^n has slope n * density / r, so the margin
+    max(a_hi, b_hi) * (SEPARATION_TOL + n * RADIUS_TOL / r_min), with
+    r_min the smaller packing radius, covers that RADIUS_TOL as well as
+    the ulp-level rounding of r ** n.  Where the intervals never
+    separate (equal or nearly equal densities), the exact difference
+    comes from two fresh max_radius_for_overlap calls, not from the
+    memo's own last lo, so every sign the scan and the bisection see is
+    that of the full difference qual_packing gives.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
@@ -505,15 +575,21 @@ def crossover_omega(n: int = 3, delta_a: float = 0.5, delta_b: float = 2.0,
         raise ValueError(f"omega_hi must be finite and > 0, got {omega_hi}")
     lat_a = DistortedLattice(n, delta_a)
     lat_b = DistortedLattice(n, delta_b)
+    memos = (_OverlapMemo(lat_a), _OverlapMemo(lat_b))
+    rel_margin = (SEPARATION_TOL
+                  + n * RADIUS_TOL / min(memo.pack for memo in memos))
+
+    def exact(lat: DistortedLattice, omega: float) -> float:
+        r = max_radius_for_overlap(lat, OverlapMeasure.VOLUME_BASED, omega)
+        return _density(lat, r)
 
     def diff(omega: float) -> float:
         # +-1.0 once the sign is decided, else the exact difference
-        sides = (_packing_density_bounds(lat_a, omega),
-                 _packing_density_bounds(lat_b, omega))
+        sides = [_packing_density_bounds(memo, omega) for memo in memos]
         bounds = [next(side) for side in sides]
         while True:
             (a_lo, a_hi), (b_lo, b_hi) = bounds
-            margin = SEPARATION_TOL * max(a_hi, b_hi)
+            margin = rel_margin * max(a_hi, b_hi)
             if b_lo - a_hi > margin:
                 return 1.0
             if a_lo - b_hi > margin:
@@ -526,7 +602,7 @@ def crossover_omega(n: int = 3, delta_a: float = 0.5, delta_b: float = 2.0,
                     bounds[i] = step
                     break
             else:
-                return b_lo - a_lo
+                return exact(lat_b, omega) - exact(lat_a, omega)
 
     omegas = [omega_hi * i / (grid - 1) for i in range(grid)]
     values = [diff(w) for w in omegas]

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from overlatt import quality
+from overlatt import measures, quality
+from overlatt.geometry3d import voronoi_ball_volume_3d
 from overlatt.lattice import (
     DELTA_MAX,
     DELTA_MIN,
@@ -17,7 +18,12 @@ from overlatt.lattice import (
     packing_radius,
     unit_ball_volume,
 )
-from overlatt.measures import OverlapMeasure, vol_overlap
+from overlatt.measures import (
+    OverlapMeasure,
+    density,
+    union_fraction,
+    vol_overlap,
+)
 from overlatt.quality import (
     RADIUS_TOL,
     NoCrossoverError,
@@ -238,6 +244,21 @@ class TestQualPacking:
         assert res.mode == "packing" and res.measure == "dist"
         assert res.delta == 2.0 and res.omega == 0.25
         assert tuple(res.as_dict()) == QualityResult._fields
+
+    def test_volume_measure_evaluates_the_union_once(self):
+        lat = DistortedLattice(3, 2.0)
+        r = max_radius_for_overlap(lat, VOL, 0.1)
+        expect = QualityResult(
+            delta=2.0, omega=0.1, r=r, density=density(lat, r),
+            union=union_fraction(lat, r), overlap=vol_overlap(lat, r),
+            mode="packing", measure="vol")
+        with mock.patch.object(quality, "max_radius_for_overlap",
+                               return_value=r), \
+                mock.patch.object(measures, "voronoi_ball_volume_3d",
+                                  wraps=voronoi_ball_volume_3d) as union:
+            res = qual_packing(lat, VOL, 0.1)
+        union.assert_called_once_with(2.0, r)
+        assert res == expect
 
     def test_high_dim_union_is_nan(self):
         res = qual_packing(DistortedLattice(5, 1.0), DIST, 0.25)
@@ -489,9 +510,22 @@ class TestCrossoverMatchesFullDifference:
 
     @pytest.mark.parametrize("kwargs", (
         {}, {"tol": 1e-9}, {"grid": 11}, {"grid": 101, "omega_hi": 1.0},
-        {"delta_a": 0.7}))
+        {"delta_a": 0.7}, {"tol": 1e-12}, {"omega_hi": 0.3, "grid": 7}))
     def test_bit_identical(self, kwargs):
         assert crossover_omega(**kwargs) == full_crossover(**kwargs)
+
+    def test_fine_tolerance_reaches_the_exact_fallback(self, monkeypatch):
+        # near the root the two densities agree to under the margin, so
+        # some signs come from two fresh inversions
+        fresh = []
+
+        def counted(lat, measure, omega):
+            fresh.append(omega)
+            return max_radius_for_overlap(lat, measure, omega)
+
+        monkeypatch.setattr(quality, "max_radius_for_overlap", counted)
+        assert crossover_omega(tol=1e-12) == 0.10609741504449632
+        assert fresh
 
     @pytest.mark.parametrize("kwargs", (
         {"omega_hi": 0.05, "grid": 11},
@@ -499,7 +533,9 @@ class TestCrossoverMatchesFullDifference:
         # past the covering radius both 2D densities are 1 + omega, so
         # the difference is rounding noise and every sign needs the
         # exact value
-        {"n": 2, "delta_a": 1.0 / SQRT3, "delta_b": 1.0, "omega_hi": 1.0}))
+        {"n": 2, "delta_a": 1.0 / SQRT3, "delta_b": 1.0, "omega_hi": 1.0},
+        # nine sign changes
+        {"n": 2, "delta_a": 0.4, "delta_b": 1.2, "omega_hi": 1.0}))
     def test_both_raise_no_crossover(self, kwargs):
         with pytest.raises(NoCrossoverError) as ours:
             crossover_omega(**kwargs)
@@ -509,11 +545,12 @@ class TestCrossoverMatchesFullDifference:
 
     def test_vol_overlap_call_budget(self, monkeypatch):
         # a deterministic cost guard: the full difference takes 1,588
-        # inversion-side overlap evaluations, the bracket signs 791
+        # inversion-side overlap evaluations, the bracket signs 791, and
+        # the memo brackets 238, none of them at a radius seen before
         calls = []
 
         def counted(lat, r, **kwargs):
-            calls.append(r)
+            calls.append((lat.delta, r))
             return vol_overlap(lat, r, **kwargs)
 
         def no_union(lat, r):
@@ -522,7 +559,8 @@ class TestCrossoverMatchesFullDifference:
         monkeypatch.setattr(quality, "vol_overlap", counted)
         monkeypatch.setattr(quality, "_union_or_nan", no_union)
         assert crossover_omega() == 0.10609771728515627
-        assert len(calls) <= 900
+        assert len(calls) <= 300
+        assert len(set(calls)) == len(calls)
 
 
 class TestOverlapBrackets:
@@ -542,6 +580,90 @@ class TestOverlapBrackets:
             assert omega < vol_overlap(lat, hi)
             prev_lo, prev_hi = lo, hi
         assert brackets[-1][0] == max_radius_for_overlap(lat, VOL, omega)
+
+    @pytest.mark.parametrize("n, delta, omega", (
+        (2, 0.4, 0.05), (2, 1.0, 1e9), (3, 0.5, 0.2), (3, 1.805, 0.00687)))
+    def test_empty_memo_changes_no_bit(self, n, delta, omega):
+        lat = DistortedLattice(n, delta)
+        memo = quality._OverlapMemo(lat)
+        assert (list(quality._overlap_brackets(lat, omega, memo))
+                == list(quality._overlap_brackets(lat, omega)))
+
+
+class TestOverlapMemo:
+    @staticmethod
+    def warm_memos():
+        """The two memos of one crossover_omega() run."""
+        memos = []
+        memo_class = quality._OverlapMemo
+
+        def kept(lat):
+            memos.append(memo_class(lat))
+            return memos[-1]
+
+        with mock.patch.object(quality, "_OverlapMemo", side_effect=kept):
+            crossover_omega()
+        assert len(memos) == 2
+        return memos
+
+    def test_radii_sorted_distinct_and_evaluated_once(self):
+        for memo in self.warm_memos():
+            assert len(memo.radii) > 2
+            assert all(a < b for a, b in zip(memo.radii, memo.radii[1:]))
+            assert memo.radii[0] == packing_radius(memo.lat)
+            with mock.patch.object(quality, "vol_overlap") as fresh:
+                for r, value in zip(memo.radii, memo.values):
+                    assert memo.overlap(r) == value
+            fresh.assert_not_called()
+
+    def test_bracket_holds_every_budget(self):
+        for memo in self.warm_memos():
+            top = memo.values[-1]
+            stored = len(memo.radii)
+            for omega in np.linspace(0.0, top, 61, endpoint=False):
+                lo, f_lo, hi, f_hi = memo.bracket(float(omega))
+                assert lo < hi
+                assert memo.overlap(lo) <= omega < memo.overlap(hi)
+                assert f_lo == memo.overlap(lo) - omega
+                assert f_hi == memo.overlap(hi) - omega
+            assert len(memo.radii) == stored
+            # past every stored overlap the bracket is open above
+            assert memo.bracket(top) == (memo.radii[-1], 0.0, math.inf,
+                                         math.inf)
+
+    def test_brackets_nest_as_the_memo_grows(self):
+        lat = DistortedLattice(3, 0.5)
+        memo = quality._OverlapMemo(lat)
+        omega = 0.1
+        prev_lo, prev_hi = packing_radius(lat), math.inf
+        for other in (0.3, 0.05, 0.12, 0.09, 0.1):
+            lo, _, hi, _ = memo.bracket(omega)
+            assert prev_lo <= lo < hi <= prev_hi
+            prev_lo, prev_hi = lo, hi
+            inner = list(quality._overlap_brackets(lat, other, memo))
+            for (a, b), (c, d) in zip(inner, inner[1:]):
+                assert a <= c < d <= b
+        # the last inversion was of omega itself: its final bracket
+        lo, _, hi, _ = memo.bracket(omega)
+        assert (lo, hi) == inner[-1]
+        assert hi - lo <= RADIUS_TOL
+
+    def test_density_bounds_hold_the_reported_density_within_margin(self):
+        # a memo radius just past qual_packing's radius r*, still within
+        # budget, lifts every lower density bound above density(r*); the
+        # slope term of crossover_omega's margin covers the gap
+        lat = DistortedLattice(2, 0.4)
+        omega = 0.05
+        r_star = max_radius_for_overlap(lat, VOL, omega)
+        past = r_star + 0.75 * RADIUS_TOL
+        memo = quality._OverlapMemo(lat)
+        assert memo.overlap(past) <= omega
+        reported = qual_packing(lat, VOL, omega).density
+        slope = lat.n * RADIUS_TOL / memo.pack
+        bounds = list(quality._packing_density_bounds(memo, omega))
+        assert bounds[0][0] > reported
+        for lo, hi in bounds:
+            assert lo - slope * hi <= reported < hi
 
 
 class TestCrossoverOmega:
