@@ -36,6 +36,7 @@ from .oracle import mc_union
 from .quality import (
     QualityMode,
     QualityQuery,
+    QualityResult,
     optimize_delta,
     qual_covering,
     qual_packing,
@@ -44,10 +45,7 @@ from .verify import SUITES, run_suite
 
 __all__ = ["main"]
 
-MEASURE_FLAGS = {"dist": OverlapMeasure.DISTANCE_BASED,
-                 "vol": OverlapMeasure.VOLUME_BASED}
-
-PRESETS = ("fig1-left", "fig1-right", "fig3", "fig3-middle", "fig3-right")
+MEASURES = tuple(m.value for m in OverlapMeasure)
 
 
 def _fmt(x) -> str:
@@ -102,6 +100,27 @@ def _linspace(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
+def _fig_deltas(steps: int) -> list[float]:
+    return _geomspace(0.05, 20.0, steps)
+
+
+# preset -> (mode, measure, default steps, axes); axes(steps) gives the
+# deltas and omegas of the sweep, and --steps resizes the swept one
+PRESETS = {
+    "fig1-left": ("packing", "dist", 200,
+                  lambda steps: (_fig_deltas(steps), [0.5])),
+    "fig1-right": ("covering", None, 200,
+                   lambda steps: (_fig_deltas(steps), [0.5])),
+    "fig3": ("packing", "vol", 60,
+             lambda steps: (_fig_deltas(steps), _linspace(0.0, 1.0, 21))),
+    "fig3-middle": ("packing", "vol", 200,
+                    lambda steps: (_fig_deltas(steps), [0.05, 0.1, 0.3])),
+    "fig3-right": ("packing", "vol", 101,
+                   lambda steps: ([0.5, 1.0, 2.0],
+                                  _linspace(0.0, 0.5, steps))),
+}
+
+
 def cmd_radii(args) -> int:
     lat = DistortedLattice(args.dim, args.delta)
     lines = [f"# overlatt v{__version__}",
@@ -111,18 +130,13 @@ def cmd_radii(args) -> int:
              f"covering_radius {_fmt(covering_radius(lat))}",
              f"shortest_vector {_fmt(shortest_vector_norm(lat))}"]
     if args.dim == 2:
-        delta = args.delta
-        if delta <= 1.0:
-            rad = critical_radii_2d(delta)
-            r1, r2, r3 = rad.r1, rad.r2, rad.r3
-        else:
-            # the cell at delta > 1 is an isometric delta-scaling of the
-            # cell at 1/delta, so the catalog transfers by scaling
-            rad = critical_radii_2d(1.0 / delta)
-            r1, r2, r3 = delta * rad.r1, delta * rad.r2, delta * rad.r3
-        lines.append(f"r1 {_fmt(r1)} x4 edges")
-        lines.append(f"r2 {_fmt(r2)} x2 edges")
-        lines.append(f"r3 {_fmt(r3)} vertices")
+        # the cell at delta > 1 is an isometric delta-scaling of the cell
+        # at 1/delta, so the catalog transfers by scaling
+        rad = critical_radii_2d(min(args.delta, 1.0 / args.delta))
+        scale = max(args.delta, 1.0)
+        lines.append(f"r1 {_fmt(scale * rad.r1)} x4 edges")
+        lines.append(f"r2 {_fmt(scale * rad.r2)} x2 edges")
+        lines.append(f"r3 {_fmt(scale * rad.r3)} vertices")
     elif args.dim == 3:
         if args.delta <= 1.0:
             rad = critical_radii_3d(args.delta)
@@ -176,11 +190,11 @@ def cmd_measure(args) -> int:
     return 0
 
 
-def _quality_row(n: int, delta: float, mode: str, measure: str,
-                 omega: float):
+def _quality_row(n: int, delta: float, mode: str, measure: str | None,
+                 omega: float) -> QualityResult:
     lat = DistortedLattice(n, delta)
     if mode == "packing":
-        return qual_packing(lat, MEASURE_FLAGS[measure], omega)
+        return qual_packing(lat, OverlapMeasure(measure), omega)
     return qual_covering(lat, omega)
 
 
@@ -188,11 +202,10 @@ def cmd_quality(args) -> int:
     if args.mode == "packing" and args.measure is None:
         raise ValueError("packing mode requires --measure dist|vol")
     if args.optimize:
-        measure = MEASURE_FLAGS[args.measure] if args.measure else None
         query = QualityQuery(
             n=args.dim,
             mode=QualityMode(args.mode),
-            measure=measure,
+            measure=OverlapMeasure(args.measure) if args.measure else None,
             omega=args.omega,
             delta_range=(args.delta_lo, args.delta_hi),
         )
@@ -206,85 +219,47 @@ def cmd_quality(args) -> int:
         return 0
     if args.delta is None:
         raise ValueError("--delta is required unless --optimize is given")
-    res = _quality_row(args.dim, args.delta, args.mode,
-                       args.measure or "dist", args.omega)
+    res = _quality_row(args.dim, args.delta, args.mode, args.measure,
+                       args.omega)
     _emit_rows(args, "quality", res._fields, [tuple(res)])
     return 0
 
 
-def _sweep_quality_rows(args, deltas, omegas, mode, measure):
-    rows = []
-    for delta in deltas:
-        for omega in omegas:
-            rows.append(tuple(_quality_row(args.dim, delta, mode, measure,
-                                           omega)))
-    return rows
-
-
 def cmd_sweep(args) -> int:
-    qfields = ("delta", "omega", "r", "density", "union", "overlap",
-               "mode", "measure")
     if args.preset:
-        dim_default = 3
-        args.dim = dim_default if args.dim is None else args.dim
-        if args.preset == "fig1-left":
-            deltas = _geomspace(0.05, 20.0, args.steps or 200)
-            rows = _sweep_quality_rows(args, deltas, [0.5], "packing",
-                                       "dist")
-        elif args.preset == "fig1-right":
-            deltas = _geomspace(0.05, 20.0, args.steps or 200)
-            rows = _sweep_quality_rows(args, deltas, [0.5], "covering",
-                                       "dist")
-        elif args.preset == "fig3":
-            deltas = _geomspace(0.05, 20.0, args.steps or 60)
-            omegas = _linspace(0.0, 1.0, 21)
-            rows = _sweep_quality_rows(args, deltas, omegas, "packing",
-                                       "vol")
-        elif args.preset == "fig3-middle":
-            deltas = _geomspace(0.05, 20.0, args.steps or 200)
-            rows = _sweep_quality_rows(args, deltas, [0.05, 0.1, 0.3],
-                                       "packing", "vol")
-        else:  # fig3-right
-            omegas = _linspace(0.0, 0.5, args.steps or 101)
-            rows = []
-            for delta in (0.5, 1.0, 2.0):
-                for omega in omegas:
-                    rows.append(tuple(_quality_row(args.dim, delta,
-                                                   "packing", "vol", omega)))
-        _emit_rows(args, f"sweep:{args.preset}", qfields, rows)
-        return 0
-
-    if args.variable is None:
-        raise ValueError("either --preset or --variable is required")
-    if not (args.lo < args.hi):
-        raise ValueError(f"sweep range needs lo < hi, got {args.lo}, "
-                         f"{args.hi}")
-    if args.steps is None or args.steps < 2:
-        raise ValueError("sweep needs --steps >= 2")
-    if args.dim is None:
-        raise ValueError("sweep needs --dim")
+        mode, measure, steps, axes = PRESETS[args.preset]
+        steps = steps if args.steps is None else args.steps
+        dim = 3 if args.dim is None else args.dim
+    else:
+        lo, hi, steps, dim = args.lo, args.hi, args.steps, args.dim
+        mode, measure = args.mode, args.measure or "dist"
+        if lo is None or hi is None or not lo < hi:
+            raise ValueError(f"sweep needs --lo < --hi, got {lo}, {hi}")
+        if dim is None:
+            raise ValueError("sweep needs --dim")
+        if args.variable == "delta":
+            if lo <= 0.0:
+                raise ValueError(f"sweeping delta needs --lo > 0, got {lo}")
+            axes = lambda steps: (_geomspace(lo, hi, steps), [args.omega])
+        elif args.delta is None:
+            raise ValueError(f"sweeping {args.variable} needs --delta")
+        elif args.variable == "omega":
+            axes = lambda steps: ([args.delta], _linspace(lo, hi, steps))
+    if steps is None or steps < 2:
+        raise ValueError(f"sweep needs --steps >= 2, got {steps}")
     if args.variable == "r":
-        if args.delta is None:
-            raise ValueError("sweeping r needs --delta")
-        lat = DistortedLattice(args.dim, args.delta)
+        lat = DistortedLattice(dim, args.delta)
         rows = [tuple(measure_report(lat, r))
-                for r in _linspace(args.lo, args.hi, args.steps)]
+                for r in _linspace(args.lo, args.hi, steps)]
         _emit_rows(args, "sweep:r", MeasureReport._fields, rows)
         return 0
-    if args.mode is None:
+    if mode is None:
         raise ValueError("sweeping delta or omega needs --mode")
-    measure = args.measure or "dist"
-    if args.variable == "delta":
-        deltas = _geomspace(args.lo, args.hi, args.steps)
-        rows = _sweep_quality_rows(args, deltas, [args.omega], args.mode,
-                                   measure)
-    else:
-        if args.delta is None:
-            raise ValueError("sweeping omega needs --delta")
-        omegas = _linspace(args.lo, args.hi, args.steps)
-        rows = [tuple(_quality_row(args.dim, args.delta, args.mode,
-                                   measure, w)) for w in omegas]
-    _emit_rows(args, f"sweep:{args.variable}", qfields, rows)
+    deltas, omegas = axes(steps)
+    rows = [tuple(_quality_row(dim, delta, mode, measure, omega))
+            for delta in deltas for omega in omegas]
+    _emit_rows(args, f"sweep:{args.preset or args.variable}",
+               QualityResult._fields, rows)
     return 0
 
 
@@ -344,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "at one delta, or optimized over delta")
     p.add_argument("--mode", choices=("packing", "covering"),
                    required=True)
-    p.add_argument("--measure", choices=tuple(MEASURE_FLAGS), default=None)
+    p.add_argument("--measure", choices=MEASURES, default=None)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--omega", type=float, default=0.0)
@@ -357,9 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="emit rows over a swept variable or "
                        "a figure preset")
-    p.add_argument("--preset", choices=PRESETS, default=None)
-    p.add_argument("--variable", choices=("delta", "omega", "r"),
-                   default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=tuple(PRESETS), default=None)
+    source.add_argument("--variable", choices=("delta", "omega", "r"),
+                        default=None)
     p.add_argument("--lo", type=float, default=None)
     p.add_argument("--hi", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
@@ -367,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--omega", type=float, default=0.0)
     p.add_argument("--mode", choices=("packing", "covering"), default=None)
-    p.add_argument("--measure", choices=tuple(MEASURE_FLAGS), default=None)
+    p.add_argument("--measure", choices=MEASURES, default=None)
     _add_output_flags(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -36,7 +36,6 @@ from .lattice import DistortedLattice, coverage_offsets, unit_ball_volume
 CHUNK = 1 << 20
 
 DEFAULT_SAMPLES_CI = 1_000_000
-DEFAULT_SAMPLES_RELEASE = 10_000_000
 
 
 class McEstimate(NamedTuple):

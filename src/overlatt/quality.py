@@ -450,7 +450,7 @@ def optimize_delta(query: QualityQuery) -> OptimizeResult:
 
     candidates: list[tuple[float, float]] = []  # (delta, objective)
     refined: list[tuple[float, float, float, float]] = []  # bracket, peak
-    ranges: list[tuple[float, float]] = []
+    plateaus: list[tuple[float, float, float]] = []  # edges, midpoint value
 
     if plateau_mode:
         for run in runs:
@@ -460,9 +460,10 @@ def optimize_delta(query: QualityQuery) -> OptimizeResult:
             right = xs[i1] if i1 == len(xs) - 1 else _bisect_edge(
                 f, xs[i1], xs[i1 + 1], vmax - TIE_TOL)
             if right - left > DEDUPE_TOL:
-                ranges.append((left, right))
                 mid = 0.5 * (left + right)
-                candidates.append((mid, f(mid)))
+                fmid = f(mid)
+                plateaus.append((left, right, fmid))
+                candidates.append((mid, fmid))
             else:
                 # a near-max run too narrow to be flat is a point peak
                 a = xs[max(i0 - 1, 0)]
@@ -503,8 +504,7 @@ def optimize_delta(query: QualityQuery) -> OptimizeResult:
         if not ties or d - ties[-1] > DEDUPE_TOL:
             ties.append(d)
 
-    ranges = [rg for rg in ranges
-              if f(0.5 * (rg[0] + rg[1])) >= best - TIE_TOL]
+    ranges = [(a, b) for a, b, v in plateaus if v >= best - TIE_TOL]
     if ranges:
         widest = max(ranges, key=lambda rg: rg[1] - rg[0])
         delta_star = 0.5 * (widest[0] + widest[1])

@@ -223,6 +223,49 @@ class TestSweep:
                            "--mode", "packing")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--preset", "fig1-left", "--steps", "1"),
+        ("--preset", "fig3-right", "--steps", "1"),
+        ("--preset", "fig1-left", "--steps", "0"),
+        ("--preset", "fig1-left", "--steps", "-3"),
+        ("--variable", "delta", "--lo", "0", "--hi", "2", "--steps", "3",
+         "--dim", "2", "--mode", "covering"),
+        ("--variable", "delta", "--steps", "3", "--dim", "2", "--mode",
+         "packing"),
+    ])
+    def test_invalid_sweep_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("preset, mode, measure, deltas, omegas", [
+        ("fig1-left", "packing", "dist", None, [0.5]),
+        ("fig1-right", "covering", "free", None, [0.5]),
+        ("fig3", "packing", "vol", None, [i / 20 for i in range(21)]),
+        ("fig3-middle", "packing", "vol", None, [0.05, 0.1, 0.3]),
+        ("fig3-right", "packing", "vol", [0.5, 1.0, 2.0], [0.0, 0.25, 0.5]),
+    ])
+    def test_preset_axes(self, capsys, preset, mode, measure, deltas,
+                         omegas):
+        # --steps resizes the swept axis: the deltas of every preset but
+        # fig3-right, which sweeps omega at three fixed deltas
+        code, out, _ = run(capsys, "sweep", "--preset", preset, "--steps",
+                           "3")
+        assert code == 0
+        rows = csv_rows(out)
+        got_deltas = sorted({float(r["delta"]) for r in rows})
+        got_omegas = sorted({float(r["omega"]) for r in rows})
+        if deltas is None:  # log-spaced over [0.05, 20]
+            assert got_deltas == pytest.approx([0.05, 1.0, 20.0])
+        else:
+            assert got_deltas == deltas
+        assert got_omegas == pytest.approx(omegas)
+        assert len(rows) == len(got_deltas) * len(got_omegas)
+        assert {r["mode"] for r in rows} == {mode}
+        assert {r["measure"] for r in rows} == {measure}
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
         code, out, _ = run(capsys, "sweep", "--variable", "r", "--lo",
