@@ -156,8 +156,8 @@ def max_radius_for_overlap(lat: DistortedLattice,
 
     The distance measure works in any dimension n >= 2.  The volume
     measure uses the closed-form union of n = 2 and 3; for n > 3 it
-    raises NoClosedFormError once it evaluates the overlap strictly
-    between the packing and covering radii.
+    returns the packing radius at omega = 0 and raises
+    NoClosedFormError for any omega > 0.
     """
     _validate_omega(measure, omega)
     if measure is OverlapMeasure.DISTANCE_BASED:
@@ -221,7 +221,13 @@ def _overlap_brackets(lat: DistortedLattice, omega: float,
     start after any doubling, then one follows every ITP step; each
     keeps vol_overlap(lo) <= omega < vol_overlap(hi), and each nests in
     the one before.  Without a memo the last lo is the inverted radius.
+    Raises NoClosedFormError for n > 3, where the overlap has no closed
+    form.
     """
+    if lat.n > 3:
+        raise NoClosedFormError(
+            "the quality layer's volume measure needs the closed-form "
+            f"union of n = 2 or 3, got n = {lat.n}")
     pack = packing_radius(lat)
     if memo is None:
         # the overlap is exactly zero at the packing radius
@@ -420,12 +426,21 @@ def optimize_delta(query: QualityQuery) -> OptimizeResult:
     hexagonal lattice, FCC and BCC).  A log-spaced scan of
     `scan_points` deltas, with every breakpoint inside `delta_range`
     added, brackets the optima; each breakpoint is also an exact
-    candidate.  Every local maximum of the scan is golden-section
-    refined over its two neighbours to |d delta| < 1e-11.  A refined
-    candidate that does not beat a breakpoint inside that bracket by
-    more than 1e-9 is reported as the breakpoint itself, so an optimum
-    at a kink comes out exact rather than refined down to noise.  All
-    deltas whose objective ties the best within 1e-9 are reported,
+    candidate.  Each local maximum of the scan is golden-section refined
+    over its two neighbours to |d delta| < 1e-11, except at a breakpoint
+    k whose objective is not exceeded at k - 1e-6 or k + 1e-6
+    (DEDUPE_TOL; probed where inside the bracket): k is the peak there.
+    A refined candidate that does not beat a breakpoint inside its
+    bracket by more than 1e-9 is reported as the breakpoint itself, so
+    an optimum at a kink comes out exact rather than refined down to
+    noise.  Skipping a breakpoint's refinement reports what refining
+    and snapping would, given two conditions: the objective is unimodal
+    on the bracket, as golden section assumes anyway, so the peak lies
+    within 1e-6 of k; and each branch has |f''| < 2 TIE_TOL /
+    DEDUPE_TOL^2 = 2000 there, so the peak beats f(k) by at most 1e-9
+    and the snap rule would report k.
+
+    All deltas whose objective ties the best within 1e-9 are reported,
     collapsed when closer than 1e-6.  Runs of three or more tied scan
     points mark a genuinely flat optimum; those are returned as plateau
     intervals with bisection-refined edges instead of single points.
@@ -473,7 +488,9 @@ def optimize_delta(query: QualityQuery) -> OptimizeResult:
 
     # refine every local maximum of the scan; a tied peak elsewhere can
     # sit below the scan maximum at grid resolution and still refine to
-    # the same value
+    # the same value.  A breakpoint that no probe DEDUPE_TOL away
+    # exceeds is the peak the refinement would snap back to, and it is
+    # a candidate already
     plateau_idx = {i for run in runs for i in run} if plateau_mode else set()
     for i in range(len(xs)):
         if i in plateau_idx:
@@ -483,6 +500,10 @@ def optimize_delta(query: QualityQuery) -> OptimizeResult:
         if left_ok and right_ok:
             a = xs[max(i - 1, 0)]
             b = xs[min(i + 1, len(xs) - 1)]
+            probes = (xs[i] - DEDUPE_TOL, xs[i] + DEDUPE_TOL)
+            if xs[i] in kink_at and all(f(x) <= fs[i]
+                                        for x in probes if a < x < b):
+                continue
             refined.append((a, b, *_golden_max(f, a, b, DELTA_REFINE_TOL)))
 
     # a refinement that does not beat a breakpoint in its bracket by more

@@ -157,6 +157,14 @@ class TestQuality:
                            "--dim", "3")
         assert code == 2
 
+    def test_high_dim_volume_measure_exits_2(self, capsys):
+        code, _, err = run(capsys, "quality", "--dim", "4", "--mode",
+                           "packing", "--measure", "vol", "--omega", "0.1",
+                           "--delta", "0.7")
+        assert code == 2
+        assert "n = 2 or 3" in err
+        assert "samples=" not in err
+
 
 class TestSweep:
     def test_fig1_left_peaks_at_two(self, capsys):

@@ -71,6 +71,19 @@ class TestUnionFraction:
         est = mc_union(lat, 0.6, samples=400_000, seed=11)
         assert abs(union_fraction(lat, 0.6) - est.mean) <= 3.0 * est.std_error
 
+    # the optimizer searches delta in [0.05, 20]; the oracle suite's grids
+    # stop at 0.2 and at 4 (2D) or 3 (3D)
+    @pytest.mark.parametrize("t", (0.3, 0.7))
+    @pytest.mark.parametrize("delta", (0.05, 0.13, 5.0, 20.0))
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_matches_oracle_outside_the_suite_grids(self, n, delta, t):
+        lat = DistortedLattice(n, delta)
+        pack, cov = packing_radius(lat), covering_radius(lat)
+        r = pack + t * (cov - pack)
+        seed = 900 + 100 * n + int(10 * delta) + int(10 * t)  # distinct
+        est = mc_union(lat, r, samples=1_000_000, seed=seed)
+        assert abs(union_fraction(lat, r) - est.mean) <= 3.0 * est.std_error
+
     def test_high_dim_requires_samples(self):
         lat = DistortedLattice(4, 1.0)
         r = 0.5 * (packing_radius(lat) + covering_radius(lat))

@@ -19,6 +19,7 @@ from overlatt.lattice import (
     unit_ball_volume,
 )
 from overlatt.measures import (
+    NoClosedFormError,
     OverlapMeasure,
     density,
     union_fraction,
@@ -37,6 +38,7 @@ from overlatt.quality import (
     qual_covering,
     qual_packing,
 )
+from overlatt.verify import run_suite
 
 DIST = OverlapMeasure.DISTANCE_BASED
 VOL = OverlapMeasure.VOLUME_BASED
@@ -127,6 +129,21 @@ class TestMaxRadiusForOverlap:
         assert r == pytest.approx(math.sqrt((1.0 + omega) / math.pi),
                                   rel=1e-15)
         assert vol_overlap(lat, r) <= omega
+
+    def test_volume_measure_needs_two_or_three_dimensions(self):
+        lat = DistortedLattice(4, 0.7)
+        # a root past the covering radius, where the union is 1, too
+        wide = DistortedLattice(4, 1.0)
+        for call in (lambda: max_radius_for_overlap(lat, VOL, 0.1),
+                     lambda: qual_packing(lat, VOL, 0.1),
+                     lambda: optimize_delta(_pack(4, VOL, 0.1)),
+                     lambda: qual_packing(wide, VOL, 10.0)):
+            with pytest.raises(NoClosedFormError, match="n = 2 or 3") as exc:
+                call()
+            assert "samples=" not in str(exc.value)
+        # a zero budget is the packing radius in any dimension
+        assert max_radius_for_overlap(lat, VOL, 0.0) == packing_radius(lat)
+        assert qual_packing(lat, VOL, 0.0).overlap == 0.0
 
 
 class TestVolumeInversionContract:
@@ -473,6 +490,145 @@ class TestOptimizeDeltaBreakpoints:
                 <= quality.TIE_TOL, query
             assert len(coarse.ties) == len(fine.ties), query
             assert coarse.plateau == fine.plateau, query
+
+
+def refine_every_maximum(query):
+    """Reference optimize_delta: the same scan, plateau path and snap
+    rule, with every local maximum of the scan golden-section refined,
+    breakpoints included."""
+    TIE_TOL, DEDUPE_TOL = quality.TIE_TOL, quality.DEDUPE_TOL
+    lo, hi = query.delta_range
+    f = lambda d: quality._objective(query, d)
+    m = query.scan_points
+    kinks = [b for b in quality._breakpoints(query.n) if lo <= b <= hi]
+    xs = sorted({lo, hi, *kinks,
+                 *(lo * (hi / lo) ** (i / (m - 1)) for i in range(1, m - 1))})
+    fs = [f(x) for x in xs]
+    vmax = max(fs)
+    kink_at = {b: xs.index(b) for b in kinks}
+    runs = quality._contiguous_runs(
+        [i for i, v in enumerate(fs) if v >= vmax - TIE_TOL])
+    plateau_mode = any(len(run) >= 3 for run in runs)
+
+    def refine(a, b):
+        return (a, b, *quality._golden_max(f, a, b, quality.DELTA_REFINE_TOL))
+
+    candidates, refined, plateaus = [], [], []
+    if plateau_mode:
+        for run in runs:
+            i0, i1 = run[0], run[-1]
+            left = xs[i0] if i0 == 0 else quality._bisect_edge(
+                f, xs[i0], xs[i0 - 1], vmax - TIE_TOL)
+            right = xs[i1] if i1 == len(xs) - 1 else quality._bisect_edge(
+                f, xs[i1], xs[i1 + 1], vmax - TIE_TOL)
+            if right - left > DEDUPE_TOL:
+                mid = 0.5 * (left + right)
+                plateaus.append((left, right, f(mid)))
+                candidates.append((mid, plateaus[-1][2]))
+            else:
+                refined.append(refine(xs[max(i0 - 1, 0)],
+                                      xs[min(i1 + 1, len(xs) - 1)]))
+    plateau_idx = {i for run in runs for i in run} if plateau_mode else set()
+    for i in range(len(xs)):
+        if i not in plateau_idx \
+                and (i == 0 or fs[i] >= fs[i - 1]) \
+                and (i == len(xs) - 1 or fs[i] >= fs[i + 1]):
+            refined.append(refine(xs[max(i - 1, 0)],
+                                  xs[min(i + 1, len(xs) - 1)]))
+    for a, b, d, v in refined:
+        snap = [(k, fs[i]) for k, i in kink_at.items()
+                if a <= k <= b and v <= fs[i] + TIE_TOL]
+        candidates.append(snap[0] if snap else (d, v))
+    candidates.extend((k, fs[i]) for k, i in kink_at.items()
+                      if i not in plateau_idx)
+
+    best = max(v for _, v in candidates)
+    ties = []
+    for d in sorted(d for d, v in candidates if v >= best - TIE_TOL):
+        if not ties or d - ties[-1] > DEDUPE_TOL:
+            ties.append(d)
+    ranges = [(a, b) for a, b, v in plateaus if v >= best - TIE_TOL]
+    if ranges:
+        widest = max(ranges, key=lambda rg: rg[1] - rg[0])
+        delta_star = 0.5 * (widest[0] + widest[1])
+    else:
+        delta_star = max((dv for dv in candidates if dv[1] >= best - TIE_TOL),
+                         key=lambda dv: (dv[1], -dv[0]))[0]
+    return OptimizeResult(delta_star, quality._evaluate(query, delta_star),
+                          tuple(ties), bool(ranges), tuple(ranges))
+
+
+def _equivalence_queries():
+    ranges = ((DELTA_MIN, DELTA_MAX), (0.05, 1.0), (0.3, 3.0), (1.0, 20.0))
+    queries = []
+    for n in (2, 3, 4):
+        for omega in (0.0, 0.1, 0.2, 0.5):
+            queries += [_pack(n, DIST, omega, rg) for rg in ranges]
+            queries += [_cover(n, omega, rg) for rg in ranges]
+    queries += [_pack(2, VOL, omega, rg) for omega in (0.05, 0.1, 0.2, 0.21,
+                                                       0.5, 1.0)
+                for rg in ranges]
+    queries += [_pack(3, VOL, omega, rg) for omega in (0.1, 0.3)
+                for rg in ranges]
+    queries.append(_pack(4, VOL, 0.0))
+    return [q._replace(scan_points=m) for q in queries for m in (40, 13)]
+
+
+class TestOptimizeDeltaSkipsBreakpointRefinement:
+    """A breakpoint that no probe DEDUPE_TOL away exceeds is reported
+    without the golden-section refinement that would snap back to it."""
+
+    def test_matches_refining_every_maximum(self):
+        # 13 scan points put two breakpoints in one bracket
+        for query in _equivalence_queries():
+            assert repr(optimize_delta(query)) \
+                == repr(refine_every_maximum(query)), query
+
+    def test_objective_call_budget(self, monkeypatch):
+        # a deterministic cost guard: refining every scan maximum takes
+        # 5,252 objective evaluations per theorems pass, the probes 1,836
+        calls = []
+        objective = quality._objective
+
+        def counted(query, delta):
+            calls.append(delta)
+            return objective(query, delta)
+
+        monkeypatch.setattr(quality, "_objective", counted)
+        assert run_suite("theorems").passed
+        assert len(calls) <= 2000
+
+    @staticmethod
+    def optimize_synthetic(monkeypatch, peak):
+        golden = []
+        golden_max = quality._golden_max
+
+        def counted(f, a, b, tol):
+            golden.append((a, b))
+            return golden_max(f, a, b, tol)
+
+        monkeypatch.setattr(quality, "_objective", lambda query, d: peak(d))
+        monkeypatch.setattr(quality, "_golden_max", counted)
+        return optimize_delta(_pack(2, DIST, 0.0)), golden
+
+    @pytest.mark.parametrize("offset", (0.01, -0.005))
+    def test_peak_off_the_breakpoint_is_refined(self, monkeypatch, offset):
+        # the scan maximum is sqrt 3, between scan points 1.712 and 1.996
+        top = SQRT3 + offset
+        res, golden = self.optimize_synthetic(
+            monkeypatch, lambda d: -(d - top) ** 2)
+        assert len(golden) == 1
+        assert golden[0][0] < SQRT3 < golden[0][1]
+        assert abs(res.delta_star - top) < 1e-6
+        assert res.ties == (res.delta_star,)
+
+    def test_v_shaped_top_at_the_breakpoint_is_not_refined(self,
+                                                           monkeypatch):
+        res, golden = self.optimize_synthetic(
+            monkeypatch, lambda d: -abs(d - SQRT3))
+        assert golden == []
+        assert res.delta_star == SQRT3
+        assert res.ties == (SQRT3,)
 
 
 def full_crossover(n=3, delta_a=0.5, delta_b=2.0, omega_hi=0.5, tol=1e-6,
