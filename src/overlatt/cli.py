@@ -364,7 +364,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, NoClosedFormError, UndefinedRatioError) as exc:
+    except (ValueError, OverflowError, NoClosedFormError,
+            UndefinedRatioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

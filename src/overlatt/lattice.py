@@ -49,9 +49,9 @@ class DistortedLattice:
     full permutation symmetry of the coordinates.
 
     n is any integer >= 2 (a numpy integer is stored as a Python int;
-    bools and floats are rejected).  Density and the Monte Carlo oracle
-    work in every dimension; union and the volume overlap have closed
-    forms for n = 2 and 3 only.
+    bools and floats are rejected) and delta a finite real > 0 (not a
+    bool).  Density and the Monte Carlo oracle work in every dimension;
+    union and the volume overlap have closed forms for n = 2 and 3 only.
     """
 
     n: int
@@ -67,6 +67,9 @@ class DistortedLattice:
             object.__setattr__(self, "n", int(n))
         if self.n < 2:
             raise ValueError(f"dimension must be >= 2, got {self.n}")
+        if isinstance(self.delta, bool):
+            raise ValueError(
+                f"distortion must be a number, got {self.delta!r}")
         if not (self.delta > 0.0) or not math.isfinite(self.delta):
             raise ValueError(f"distortion must be positive, got {self.delta}")
 
@@ -77,14 +80,6 @@ class DistortedLattice:
         basis = np.eye(self.n) + a * np.ones((self.n, self.n))
         basis.flags.writeable = False
         return basis
-
-    def __hash__(self):
-        return hash((self.n, self.delta))
-
-    def __eq__(self, other):
-        if not isinstance(other, DistortedLattice):
-            return NotImplemented
-        return self.n == other.n and self.delta == other.delta
 
     @property
     def inverse_basis(self) -> np.ndarray:

@@ -8,7 +8,6 @@ covering minimizes density subject to a free-space bound.
 
 import bisect
 import enum
-import functools
 import math
 import numbers
 from typing import NamedTuple
@@ -26,8 +25,8 @@ from .measures import (
     OverlapMeasure,
     _density,
     density,
+    dist_overlap,
     free_space,
-    overlap_value,
     union_fraction,
     vol_overlap,
 )
@@ -151,8 +150,9 @@ def max_radius_for_overlap(lat: DistortedLattice,
     converges superlinearly (about 12 evaluations instead of 40); it
     never evaluates more than ceil(log2((hi - lo) / RADIUS_TOL)) + 1
     times, one more than bisection of the same bracket.  The brackets
-    come from `_overlap_brackets`, which crossover_omega steps through
-    from the tightest start bracket its overlap memo holds.
+    are those of a fresh memo, `_OverlapMemo(lat).brackets(omega)`;
+    crossover_omega steps through the same method from the tightest
+    start bracket its warm memos hold.
 
     The distance measure works in any dimension n >= 2.  The volume
     measure uses the closed-form union of n = 2 and 3; for n > 3 it
@@ -166,13 +166,14 @@ def max_radius_for_overlap(lat: DistortedLattice,
         raise ValueError(f"unknown overlap measure {measure!r}")
     if omega == 0.0:
         return packing_radius(lat)
-    for lo, _ in _overlap_brackets(lat, omega):
+    for lo, _ in _OverlapMemo(lat).brackets(omega):
         pass
     return lo
 
 
 class _OverlapMemo:
-    """vol_overlap of one lattice at every radius evaluated so far.
+    """vol_overlap of one lattice at every radius evaluated so far, and
+    the volume inversion (`brackets`) that evaluates through it.
 
     The overlap is monotone in r, so each stored radius brackets the
     inversion of every later omega.  The packing radius is stored from
@@ -209,70 +210,61 @@ class _OverlapMemo:
             return lo, f_lo, math.inf, math.inf
         return lo, f_lo, self.radii[i], self.values[i] - omega
 
+    def brackets(self, omega: float):
+        """Yield the volume inversion's brackets (lo, hi) for omega > 0.
 
-def _overlap_brackets(lat: DistortedLattice, omega: float,
-                      memo: _OverlapMemo | None = None):
-    """Yield the volume inversion's brackets (lo, hi) for omega > 0.
-
-    The start bracket is the tightest one the memo holds, or [packing
-    radius, inf] without a memo; an infinite hi doubles from 2 *
-    packing radius until the overlap there exceeds omega.  With a memo
-    every evaluation goes through it.  The first bracket yielded is the
-    start after any doubling, then one follows every ITP step; each
-    keeps vol_overlap(lo) <= omega < vol_overlap(hi), and each nests in
-    the one before.  Without a memo the last lo is the inverted radius.
-    Raises NoClosedFormError for n > 3, where the overlap has no closed
-    form.
-    """
-    if lat.n > 3:
-        raise NoClosedFormError(
-            "the quality layer's volume measure needs the closed-form "
-            f"union of n = 2 or 3, got n = {lat.n}")
-    pack = packing_radius(lat)
-    if memo is None:
-        # the overlap is exactly zero at the packing radius
-        lo, f_lo, hi, f_hi = pack, -omega, math.inf, math.inf
-        evaluate = functools.partial(vol_overlap, lat)
-    else:
-        lo, f_lo, hi, f_hi = memo.bracket(omega)
-        evaluate = memo.overlap
-    if hi == math.inf:
-        hi = 2.0 * pack
-        while hi <= lo:
-            hi *= 2.0
-        f_hi = evaluate(hi) - omega
-        while f_hi <= 0.0:
-            lo, f_lo = hi, f_hi
-            hi *= 2.0
-            f_hi = evaluate(hi) - omega
-    yield lo, hi
-    k1 = 0.2 / (hi - lo)
-    # bound on the bracket width after the next step: RADIUS_TOL 2^m at
-    # least hi - lo, halved each step (eps 2^(n_max - j) with n0 = 1)
-    reach = RADIUS_TOL
-    while reach < hi - lo:
-        reach *= 2.0
-    while hi - lo > max(RADIUS_TOL, math.ulp(hi)):
-        width = hi - lo
-        mid = 0.5 * (lo + hi)
-        falsi = lo - f_lo * width / (f_hi - f_lo)
-        sigma = 1.0 if mid >= falsi else -1.0
-        step = k1 * width * width
-        x = falsi + sigma * step if step <= abs(mid - falsi) else mid
-        # the margin absorbs the rounding of mid and x
-        radius = max(reach - 0.5 * width - 2.0 * math.ulp(hi), 0.0)
-        if abs(x - mid) > radius:
-            x = mid - sigma * radius
-        if not lo < x < hi:
-            # falsi can round onto an end, whose overlap is known
-            x = mid
-        f_x = evaluate(x) - omega
-        if f_x <= 0.0:
-            lo, f_lo = x, f_x
-        else:
-            hi, f_hi = x, f_x
-        reach *= 0.5
+        The start bracket is the tightest one the memo holds, [packing
+        radius, inf] when it is fresh; an infinite hi doubles from 2 *
+        packing radius until the overlap there exceeds omega.  The first
+        bracket yielded is the start after any doubling, then one
+        follows every ITP step; each keeps overlap(lo) <= omega <
+        overlap(hi) and nests in the one before.  On a fresh memo the
+        last lo is max_radius_for_overlap's radius.  Raises
+        NoClosedFormError for n > 3, where the overlap has no closed
+        form.
+        """
+        if self.lat.n > 3:
+            raise NoClosedFormError(
+                "the quality layer's volume measure needs the closed-form "
+                f"union of n = 2 or 3, got n = {self.lat.n}")
+        lo, f_lo, hi, f_hi = self.bracket(omega)
+        if hi == math.inf:
+            hi = 2.0 * self.pack
+            while hi <= lo:
+                hi *= 2.0
+            f_hi = self.overlap(hi) - omega
+            while f_hi <= 0.0:
+                lo, f_lo = hi, f_hi
+                hi *= 2.0
+                f_hi = self.overlap(hi) - omega
         yield lo, hi
+        k1 = 0.2 / (hi - lo)
+        # bound on the bracket width after the next step: RADIUS_TOL 2^m at
+        # least hi - lo, halved each step (eps 2^(n_max - j) with n0 = 1)
+        reach = RADIUS_TOL
+        while reach < hi - lo:
+            reach *= 2.0
+        while hi - lo > max(RADIUS_TOL, math.ulp(hi)):
+            width = hi - lo
+            mid = 0.5 * (lo + hi)
+            falsi = lo - f_lo * width / (f_hi - f_lo)
+            sigma = 1.0 if mid >= falsi else -1.0
+            step = k1 * width * width
+            x = falsi + sigma * step if step <= abs(mid - falsi) else mid
+            # the margin absorbs the rounding of mid and x
+            radius = max(reach - 0.5 * width - 2.0 * math.ulp(hi), 0.0)
+            if abs(x - mid) > radius:
+                x = mid - sigma * radius
+            if not lo < x < hi:
+                # falsi can round onto an end, whose overlap is known
+                x = mid
+            f_x = self.overlap(x) - omega
+            if f_x <= 0.0:
+                lo, f_lo = x, f_x
+            else:
+                hi, f_hi = x, f_x
+            reach *= 0.5
+            yield lo, hi
 
 
 def _union_or_nan(lat: DistortedLattice, r: float) -> float:
@@ -292,11 +284,13 @@ def qual_packing(lat: DistortedLattice, measure: OverlapMeasure,
     """
     r = max_radius_for_overlap(lat, measure, omega)
     union = _union_or_nan(lat, r)
-    if measure is OverlapMeasure.VOLUME_BASED and not math.isnan(union):
-        # vol_overlap's own expression, without a second union evaluation
+    if measure is OverlapMeasure.VOLUME_BASED:
+        # vol_overlap's own expression, without a second union evaluation;
+        # the union has a value here: n > 3 gets this far only at omega
+        # = 0, where r is the packing radius and the union is exact
         overlap = _density(lat, r) - union
     else:
-        overlap = overlap_value(lat, r, measure)
+        overlap = dist_overlap(lat, r)
     return QualityResult(
         delta=lat.delta,
         omega=omega,
@@ -551,7 +545,7 @@ def _packing_density_bounds(memo: _OverlapMemo, omega: float):
         d = _density(lat, memo.pack)
         yield d, d
         return
-    for r_lo, r_hi in _overlap_brackets(lat, omega, memo):
+    for r_lo, r_hi in memo.brackets(omega):
         yield _density(lat, r_lo), _density(lat, r_hi)
 
 
@@ -577,7 +571,7 @@ def crossover_omega(n: int = 3, delta_a: float = 0.5, delta_b: float = 2.0,
     r), not from the doubling of the packing radius.
 
     This is exact.  qual_packing's radius r* is the last lo of the
-    memo-less inversion, whose last bracket is at most RADIUS_TOL wide,
+    brackets of a fresh memo, whose last bracket is at most RADIUS_TOL wide,
     so r* lies in (lo - RADIUS_TOL, hi) for every memo bracket.  The
     density c r^n has slope n * density / r, so the margin
     max(a_hi, b_hi) * (SEPARATION_TOL + n * RADIUS_TOL / r_min), with

@@ -109,6 +109,15 @@ class TestMeasure:
         assert code == 2
         assert "--oracle" in err
 
+    @pytest.mark.parametrize("dim", ("2", "3"))
+    def test_overflowing_radius_exits_2(self, capsys, dim):
+        # the density's r ** n leaves the float range
+        code, out, err = run(capsys, "measure", "--dim", dim, "--delta",
+                             "0.5", "--r", "1e200")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "measure", "--dim", "2", "--delta",
                            "0.8", "--r", "0.5", "--format", "json")

@@ -97,6 +97,12 @@ class TestDistortedLattice:
         with pytest.raises(ValueError, match="dimension"):
             DistortedLattice(n, 1.3)
 
+    @pytest.mark.parametrize("delta", (True, False))
+    def test_rejects_bool_distortion(self, delta):
+        # True would otherwise build the cube
+        with pytest.raises(ValueError, match="distortion"):
+            DistortedLattice(3, delta)
+
     def test_numpy_integer_dimension_is_a_python_int(self):
         lat = DistortedLattice(np.int64(3), 1.3)
         assert type(lat.n) is int

@@ -727,7 +727,7 @@ class TestOverlapBrackets:
                                                           omega):
         lat = DistortedLattice(n, delta)
         pack = packing_radius(lat)
-        brackets = list(quality._overlap_brackets(lat, omega))
+        brackets = list(quality._OverlapMemo(lat).brackets(omega))
         assert brackets
         prev_lo, prev_hi = pack, math.inf
         for lo, hi in brackets:
@@ -737,13 +737,20 @@ class TestOverlapBrackets:
             prev_lo, prev_hi = lo, hi
         assert brackets[-1][0] == max_radius_for_overlap(lat, VOL, omega)
 
-    @pytest.mark.parametrize("n, delta, omega", (
-        (2, 0.4, 0.05), (2, 1.0, 1e9), (3, 0.5, 0.2), (3, 1.805, 0.00687)))
+    # the radii as the memo-less inversion gave them: an empty memo's
+    # start bracket (pack, -omega, inf, inf) is the one that inversion
+    # set by hand, so no bit may change
+    PINNED = {
+        (2, 0.4, 0.05): "0x1.4f70e3275f1a2p-2",
+        (2, 1.0, 1e9): "0x1.16c4f6f562d16p+14",
+        (3, 0.5, 0.2): "0x1.0ac380ec7d45bp-1",
+        (3, 1.805, 0.00687): "0x1.62cf26648ac56p-1",
+    }
+
+    @pytest.mark.parametrize("n, delta, omega", PINNED)
     def test_empty_memo_changes_no_bit(self, n, delta, omega):
-        lat = DistortedLattice(n, delta)
-        memo = quality._OverlapMemo(lat)
-        assert (list(quality._overlap_brackets(lat, omega, memo))
-                == list(quality._overlap_brackets(lat, omega)))
+        r = max_radius_for_overlap(DistortedLattice(n, delta), VOL, omega)
+        assert r == float.fromhex(self.PINNED[n, delta, omega])
 
 
 class TestOverlapMemo:
@@ -796,7 +803,7 @@ class TestOverlapMemo:
             lo, _, hi, _ = memo.bracket(omega)
             assert prev_lo <= lo < hi <= prev_hi
             prev_lo, prev_hi = lo, hi
-            inner = list(quality._overlap_brackets(lat, other, memo))
+            inner = list(memo.brackets(other))
             for (a, b), (c, d) in zip(inner, inner[1:]):
                 assert a <= c < d <= b
         # the last inversion was of omega itself: its final bracket
