@@ -143,35 +143,23 @@ _NAMED = {
 }
 
 
-@dataclass(frozen=True)
-class NamedLattice:
-    """A named member of the family, resolved to (n, delta)."""
-
-    name: str
-    n: int
-    delta: float
-
-    @classmethod
-    def resolve(cls, name: str, n: int | None = None) -> "NamedLattice":
-        if name not in _NAMED:
-            raise ValueError(f"unknown lattice name {name!r}; "
-                             f"choose from {sorted(_NAMED)}")
-        fixed_n, delta = _NAMED[name]
-        if fixed_n is None:
-            if n is None:
-                raise ValueError("the integer lattice needs an explicit dimension")
-            return cls(name, n, delta)
-        if n is not None and n != fixed_n:
-            raise ValueError(f"{name} lives in dimension {fixed_n}, got n={n}")
-        return cls(name, fixed_n, delta)
-
-    def to_lattice(self) -> DistortedLattice:
-        return DistortedLattice(self.n, self.delta)
-
-
 def named_lattice(name: str, n: int | None = None) -> DistortedLattice:
-    """Construct one of the named lattices as a DistortedLattice."""
-    return NamedLattice.resolve(name, n).to_lattice()
+    """One of the named lattices of _NAMED as a DistortedLattice.
+
+    n is needed for the integer lattice and must match the dimension of
+    every other name.
+    """
+    if name not in _NAMED:
+        raise ValueError(f"unknown lattice name {name!r}; "
+                         f"choose from {sorted(_NAMED)}")
+    fixed_n, delta = _NAMED[name]
+    if fixed_n is None:
+        if n is None:
+            raise ValueError("the integer lattice needs an explicit dimension")
+        return DistortedLattice(n, delta)
+    if n is not None and n != fixed_n:
+        raise ValueError(f"{name} lives in dimension {fixed_n}, got n={n}")
+    return DistortedLattice(fixed_n, delta)
 
 
 # -- nearest point ------------------------------------------------------------

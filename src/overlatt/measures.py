@@ -33,7 +33,6 @@ __all__ = [
     "dist_overlap",
     "free_space",
     "measure_report",
-    "overlap_value",
     "union_fraction",
     "vol_overlap",
 ]
@@ -155,20 +154,6 @@ def free_space(lat: DistortedLattice, r: float) -> float:
     """
     _validate_radius(r, positive=True)
     return max((covering_radius(lat) - r) / r, 0.0)
-
-
-def overlap_value(lat: DistortedLattice, r: float,
-                  measure: OverlapMeasure) -> float:
-    """Dispatch to the overlap named by `measure`.
-
-    Together with free_space this gives the two constraint functions of
-    the quality procedures one shared signature (lat, r) -> float.
-    """
-    if measure is OverlapMeasure.DISTANCE_BASED:
-        return dist_overlap(lat, r)
-    if measure is OverlapMeasure.VOLUME_BASED:
-        return vol_overlap(lat, r)
-    raise ValueError(f"unknown overlap measure {measure!r}")
 
 
 def measure_report(lat: DistortedLattice, r: float, *,

@@ -24,7 +24,6 @@ candidate and the nearest one gives the distance (see overlatt._kernels).
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
@@ -61,19 +60,8 @@ def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
 
 
 def resolve_threads(par: int | None) -> int:
-    """Thread count: explicit argument, else OVERLATT_THREADS, else 1."""
-    if par is not None:
-        return _check_int("par", par, 1)
-    env = os.environ.get("OVERLATT_THREADS", "").strip()
-    if env:
-        try:
-            val = int(env)
-        except ValueError:
-            raise ValueError(f"OVERLATT_THREADS must be an integer, got {env!r}")
-        if val < 1:
-            raise ValueError(f"OVERLATT_THREADS must be >= 1, got {val}")
-        return val
-    return 1
+    """Thread count: par if given (an integer >= 1), else 1."""
+    return 1 if par is None else _check_int("par", par, 1)
 
 
 def _chunk_sizes(samples: int):

@@ -9,7 +9,6 @@ import pytest
 
 from overlatt.lattice import (
     DistortedLattice,
-    NamedLattice,
     named_lattice,
     unit_ball_volume,
     packing_radius,
@@ -112,24 +111,24 @@ class TestDistortedLattice:
 
 class TestNamedLattice:
     def test_resolutions(self):
-        assert NamedLattice.resolve("hexagonal").delta == pytest.approx(
+        assert named_lattice("hexagonal").delta == pytest.approx(
             1.0 / math.sqrt(3.0))
-        assert NamedLattice.resolve("hexagonal").n == 2
-        assert NamedLattice.resolve("hexagonal-dual").delta == pytest.approx(
+        assert named_lattice("hexagonal").n == 2
+        assert named_lattice("hexagonal-dual").delta == pytest.approx(
             math.sqrt(3.0))
-        assert NamedLattice.resolve("fcc") == NamedLattice("fcc", 3, 2.0)
-        assert NamedLattice.resolve("bcc") == NamedLattice("bcc", 3, 0.5)
-        assert NamedLattice.resolve("integer", n=4).delta == 1.0
+        assert named_lattice("fcc") == DistortedLattice(3, 2.0)
+        assert named_lattice("bcc") == DistortedLattice(3, 0.5)
+        assert named_lattice("integer", n=4) == DistortedLattice(4, 1.0)
 
     def test_integer_needs_dimension(self):
-        with pytest.raises(ValueError):
-            NamedLattice.resolve("integer")
+        with pytest.raises(ValueError, match="explicit dimension"):
+            named_lattice("integer")
 
     def test_dimension_conflicts(self):
-        with pytest.raises(ValueError):
-            NamedLattice.resolve("fcc", n=2)
-        with pytest.raises(ValueError):
-            NamedLattice.resolve("no-such-lattice")
+        with pytest.raises(ValueError, match="dimension 3"):
+            named_lattice("fcc", n=2)
+        with pytest.raises(ValueError, match="unknown lattice name"):
+            named_lattice("no-such-lattice")
 
     def test_to_lattice(self):
         lat = named_lattice("bcc")

@@ -17,13 +17,11 @@ from overlatt.lattice import (
 from overlatt.measures import (
     MeasureReport,
     NoClosedFormError,
-    OverlapMeasure,
     UndefinedRatioError,
     density,
     dist_overlap,
     free_space,
     measure_report,
-    overlap_value,
     union_fraction,
     vol_overlap,
 )
@@ -168,20 +166,6 @@ class TestFreeSpace:
     def test_zero_radius_rejected(self):
         with pytest.raises(UndefinedRatioError):
             free_space(DistortedLattice(2, 1.0), 0.0)
-
-
-class TestOverlapValue:
-    def test_dispatch(self):
-        lat = DistortedLattice(3, 0.8)
-        r = 0.55
-        assert overlap_value(
-            lat, r, OverlapMeasure.DISTANCE_BASED) == dist_overlap(lat, r)
-        assert overlap_value(
-            lat, r, OverlapMeasure.VOLUME_BASED) == vol_overlap(lat, r)
-
-    def test_rejects_other_values(self):
-        with pytest.raises(ValueError):
-            overlap_value(DistortedLattice(2, 1.0), 0.5, "dist")
 
 
 class TestIdentityAndMonotonicity:

@@ -304,17 +304,15 @@ class TestThreadResolution:
     def test_explicit_wins(self):
         assert resolve_threads(4) == 4
 
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("OVERLATT_THREADS", raising=False)
+    def test_default_is_one(self):
         assert resolve_threads(None) == 1
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("OVERLATT_THREADS", "6")
-        assert resolve_threads(None) == 6
+    def test_environment_is_not_read(self, monkeypatch):
+        monkeypatch.setenv("OVERLATT_THREADS", "zero")
+        lat = DistortedLattice(3, 0.7)
+        assert (mc_union(lat, 0.6, samples=20_000, seed=5, par=None)
+                == mc_union(lat, 0.6, samples=20_000, seed=5, par=1))
 
-    def test_bad_values_rejected(self, monkeypatch):
+    def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             resolve_threads(0)
-        monkeypatch.setenv("OVERLATT_THREADS", "zero")
-        with pytest.raises(ValueError):
-            resolve_threads(None)
