@@ -48,14 +48,22 @@ __all__ = ["main"]
 MEASURES = tuple(m.value for m in OverlapMeasure)
 
 
+def _finite(x: float) -> float:
+    """x, unless it is +-inf, a result that left the float range (NaN
+    passes: it marks a union without a closed form)."""
+    if math.isinf(x):
+        raise OverflowError(f"a result is {x}")
+    return x
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
-        return f"{x:.17g}"
+        return f"{_finite(x):.17g}"
     return str(x)
 
 
 def _json_safe(x):
-    if isinstance(x, float) and math.isnan(x):
+    if isinstance(x, float) and math.isnan(_finite(x)):
         return None
     return x
 
@@ -321,10 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--measure", choices=MEASURES, default=None)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--delta", type=float, default=None)
+    at = p.add_mutually_exclusive_group()
+    at.add_argument("--delta", type=float, default=None)
+    at.add_argument("--optimize", action="store_true",
+                    help="search delta in [--delta-lo, --delta-hi]")
     p.add_argument("--omega", type=float, default=0.0)
-    p.add_argument("--optimize", action="store_true",
-                   help="search delta in [--delta-lo, --delta-hi]")
     p.add_argument("--delta-lo", type=float, default=0.05)
     p.add_argument("--delta-hi", type=float, default=20.0)
     _add_output_flags(p)
@@ -364,8 +373,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, NoClosedFormError,
-            UndefinedRatioError) as exc:
+    except OverflowError as exc:
+        # float ** raises OverflowError(34, 'Numerical result out of range')
+        print(f"error: a value leaves the float range ({exc.args[-1]})",
+              file=sys.stderr)
+        return 2
+    except (ValueError, NoClosedFormError, UndefinedRatioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

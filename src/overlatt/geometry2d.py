@@ -90,14 +90,23 @@ def voronoi_ball_area(delta: float, r: float) -> float:
         raise ValueError(f"radius must be finite and >= 0, got {r}")
     if delta > 1.0:
         # mirror lattice: cell of delta is the cell of 1/delta scaled by delta
-        return delta * delta * voronoi_ball_area(1.0 / delta, r / delta)
+        scale = delta * delta
+        if scale == math.inf:
+            raise OverflowError(f"delta^2 overflows at delta={delta!r}")
+        return scale * voronoi_ball_area(1.0 / delta, r / delta)
     rad = _critical_radii_2d(float(delta))
     if r <= min(rad.r1, rad.r2):
         return math.pi * r * r
     if r <= rad.r3:
         t1, t2 = _segment_angles(rad, r)
-        return r * r * (math.pi - 2.0 * t1 - t2
+        area = r * r * (math.pi - 2.0 * t1 - t2
                         + 2.0 * math.sin(t1) + math.sin(t2))
+        # far below delta = 1 the segments cancel pi r^2 to rounding noise
+        if area > delta * (1.0 + 1e-9):
+            raise ValueError(f"the area {area!r} exceeds the cell area at "
+                             f"delta={delta!r}: delta is too far from 1 "
+                             "for floating point")
+        return area
     return delta
 
 

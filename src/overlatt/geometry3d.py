@@ -19,6 +19,10 @@ catalog fixes (face coefficients, incidences, edge subtypes, and the
 pair and triple orbits below) depends only on the regime (`below`,
 `cube`, `above`) and is built once per regime in `_regime_tables`; a
 new delta computes only the planes, vertices, edge feet and activations.
+That build checks its nearest face against the closed-form packing
+radius and its farthest vertex against the covering radius, to 1e-9
+relative, and raises where the float basis has lost the cell (delta
+below about 1e-7 or above about 1e8).
 
 vol(cell ∩ ball) is computed by inclusion-exclusion over the face caps:
 ball volume, minus caps, plus pairwise cap intersections, minus triple
@@ -61,7 +65,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import DistortedLattice, covering_radius, unit_ball_volume
+from .lattice import (
+    DistortedLattice,
+    covering_radius,
+    packing_radius,
+    unit_ball_volume,
+)
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
@@ -657,7 +666,13 @@ def _coeff_type(v) -> int:
 def _line_foot(n1: np.ndarray, d1: float, n2: np.ndarray, d2: float):
     """Least-norm point on the intersection line of two nonparallel planes."""
     a = float(n1 @ n2)
-    return ((d1 - a * d2) * n1 + (d2 - a * d1) * n2) / (1.0 - a * a)
+    # a^2 rounds to 1 or more once floating point cannot tell the faces
+    # apart; otherwise 1 - a^2 is at least 2^-53
+    den = 1.0 - a * a
+    if not den > 0.0:
+        raise ValueError("two adjacent cell faces are parallel in floating "
+                         "point")
+    return ((d1 - a * d2) * n1 + (d2 - a * d1) * n2) / den
 
 
 # The cell isometries: the coordinate permutations, each with and without
@@ -760,19 +775,39 @@ def _regime_tables(regime: str) -> _RegimeTables:
                          pair_orbits=pair_orbits, triple_orbits=triple_orbits)
 
 
+def _check_catalog_radius(what: str, got: float, want: float,
+                          delta: float):
+    """ValueError unless got equals the closed form want to 1e-9 relative.
+
+    Far from delta = 1 the basis I + ((delta - 1)/3) J loses delta to
+    rounding, and the catalog's faces and vertices no longer describe the
+    cell of delta.
+    """
+    if not abs(got - want) <= 1e-9 * want:
+        raise ValueError(f"the {what} of the cell at delta={delta!r} lies "
+                         f"at {got!r}, not at {want!r}: delta is too far "
+                         "from 1 for floating point")
+
+
 @lru_cache(maxsize=64)
 def _build_arrangement(delta: float) -> CapArrangement:
     lat = DistortedLattice(3, delta)
     degenerate = abs(delta - 1.0) < 1e-9
     tables = _regime_tables(
         "cube" if degenerate else "below" if delta < 1.0 else "above")
+    # the farthest vertex of the catalog's cell; the cube stands in for
+    # every cell within 1e-9 of delta = 1
+    cov = _SQRT3 / 2.0 if degenerate else covering_radius(lat)
+    if cov == math.inf:
+        raise OverflowError(f"the cell's size overflows at delta={delta!r}")
 
     # the face of B c lies at half its norm
-    planes = []
-    for c, p in zip(tables.coeffs, tables.points @ lat.basis.T):
-        nrm = _norm(p)
-        planes.append(Plane(coeffs=c, normal=p / nrm, distance=nrm / 2.0))
-    planes = tuple(planes)
+    points = tables.points @ lat.basis.T
+    norms = [_norm(p) for p in points]
+    _check_catalog_radius("nearest face", min(norms) / 2.0,
+                          packing_radius(lat), delta)
+    planes = tuple(Plane(coeffs=c, normal=p / nrm, distance=nrm / 2.0)
+                   for c, p, nrm in zip(tables.coeffs, points, norms))
     normals = np.array([p.normal for p in planes])
     dists = np.array([p.distance for p in planes])
 
@@ -781,6 +816,8 @@ def _build_arrangement(delta: float) -> CapArrangement:
     positions = np.linalg.solve(normals[faces], dists[faces][..., None])
     vertices = tuple(Vertex(position=x, distance=_norm(x), valence=len(inc))
                      for x, inc in zip(positions[..., 0], tables.incidences))
+    _check_catalog_radius("farthest vertex",
+                          max(v.distance for v in vertices), cov, delta)
 
     edges = []
     for (i, j), subtype in tables.edges:

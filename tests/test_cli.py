@@ -118,6 +118,37 @@ class TestMeasure:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_overflow_message_is_readable(self, capsys):
+        code, out, err = run(capsys, "measure", "--dim", "3", "--delta",
+                             "0.5", "--r", "1e150")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: a value leaves the float range (")
+        assert "34" not in err
+
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    def test_infinite_density_exits_2(self, capsys, fmt):
+        # pi r^2 / delta overflows at a subnormal delta; JSON would print
+        # Infinity, which is not JSON
+        code, out, err = run(capsys, "measure", "--dim", "2", "--delta",
+                             "1e-320", "--r", "0.5", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("dim, delta, r", [
+        ("2", "1e-320", "0.3"),  # the area rounds to more than the cell
+        ("2", "1e300", "0.7"),  # delta^2 overflows in the mirror
+        ("3", "1e-300", "0.3"),  # the float basis loses delta
+        ("3", "1e200", "0.7"),  # the cell's size overflows
+    ])
+    def test_extreme_delta_exits_2(self, capsys, dim, delta, r):
+        code, out, err = run(capsys, "measure", "--dim", dim, "--delta",
+                             delta, "--r", r)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "measure", "--dim", "2", "--delta",
                            "0.8", "--r", "0.5", "--format", "json")
@@ -165,6 +196,27 @@ class TestQuality:
         code, _, err = run(capsys, "quality", "--mode", "covering",
                            "--dim", "3")
         assert code == 2
+
+    def test_optimize_excludes_delta(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["quality", "--mode", "covering", "--dim", "2",
+                  "--optimize", "--delta", "0.5"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_infinite_density_exits_2(self, capsys):
+        code, out, err = run(capsys, "quality", "--dim", "3", "--mode",
+                             "covering", "--delta", "1e-310")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_union_without_closed_form_is_null(self, capsys):
+        code, out, _ = run(capsys, "quality", "--dim", "4", "--mode",
+                           "packing", "--measure", "dist", "--omega", "0.1",
+                           "--delta", "0.7", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["rows"][0]["union"] is None
 
     def test_high_dim_volume_measure_exits_2(self, capsys):
         code, _, err = run(capsys, "quality", "--dim", "4", "--mode",

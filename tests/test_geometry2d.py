@@ -185,6 +185,18 @@ class TestVoronoiBallArea:
         cf = voronoi_ball_area(1.6, 0.75) / 1.6
         assert abs(cf - est.mean) <= 3.0 * est.std_error
 
+    @pytest.mark.parametrize("delta", [1.4e154, 1e300])
+    def test_mirror_overflow_raises(self, delta):
+        # delta^2 is inf; the product was inf at 1.4e154 and nan at 1e300
+        with pytest.raises(OverflowError):
+            voronoi_ball_area(delta, 0.7)
+
+    def test_more_than_the_cell_raises(self):
+        # pi r^2 minus the segments leaves rounding noise of 1e-17, more
+        # than the cell area 1e-320
+        with pytest.raises(ValueError, match="cell area"):
+            voronoi_ball_area(1e-320, 0.3)
+
 
 class TestVolOverlap2D:
     def test_zero_at_hexagonal_packing(self):

@@ -642,6 +642,38 @@ class TestCellCatalog:
         assert "vertices 0.866025395 x24" in lines
 
 
+class TestFloatRange:
+    """Far from delta = 1 the float basis describes another cell, or none.
+
+    The build raises there rather than return that cell's arrangement
+    (pytest turns a RuntimeWarning into an error, so none is emitted).
+    """
+
+    @pytest.mark.parametrize("delta", [1e-320, 1e-20, 1e-15, 1e-12, 6e-9,
+                                       3e8, 1e9, 1e12, 1e50])
+    def test_lost_delta_raises(self, delta):
+        with pytest.raises(ValueError, match="too far from 1|parallel"):
+            build_cap_arrangement(delta)
+
+    @pytest.mark.parametrize("delta", [1.4e154, 1e155, 1e300])
+    def test_overflow_raises(self, delta):
+        with pytest.raises(OverflowError):
+            build_cap_arrangement(delta)
+
+    def test_union_raises(self):
+        # it was 6.9e283, for a cell of volume 1e-300
+        with pytest.raises(ValueError):
+            voronoi_ball_volume_3d(1e-300, 0.3)
+
+    @pytest.mark.parametrize("delta", [1e-7, 1.0 - 1e-9, 1.0 - 0.999e-9,
+                                       1.0 + 0.999e-9, 1.0 + 1e-9, 1e7])
+    def test_representable_cells_build(self, delta):
+        # the cube stands in for the cells within 1e-9 of delta = 1
+        arr = build_cap_arrangement(delta)
+        assert len(arr.planes) == (6 if arr.degenerate
+                                   else 14 if delta < 1.0 else 12)
+
+
 ORBIT_DELTAS = (0.2, 0.5, 0.9, 1.0, 1.0 - 1e-10, 1.0 + 1e-10, 1.2, 2.0, 3.0,
                 20.0)
 
