@@ -3,6 +3,8 @@
 Each test prints one summary line; `pytest -v` adds the per-criterion
 pass/fail verdict.  Criterion 6 draws 10^7 Monte Carlo samples per grid
 cell and takes a couple of minutes; everything else finishes in seconds.
+It carries the `slow` marker, so `pytest -m "not slow"` runs the other
+seven.
 """
 
 import math
@@ -169,6 +171,7 @@ def test_criterion_5_crossover():
           f"single sign change, in {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_6_oracle_equivalence():
     # grid coverage: enough points, all branches and regimes
     n_2d = len(GRID_DELTAS_2D) * len(grid_radii(DistortedLattice(2, 0.5)))

@@ -126,29 +126,6 @@ class TestMeasure:
         assert err.startswith("error: a value leaves the float range (")
         assert "34" not in err
 
-    @pytest.mark.parametrize("fmt", ("csv", "json"))
-    def test_infinite_density_exits_2(self, capsys, fmt):
-        # pi r^2 / delta overflows at a subnormal delta; JSON would print
-        # Infinity, which is not JSON
-        code, out, err = run(capsys, "measure", "--dim", "2", "--delta",
-                             "1e-320", "--r", "0.5", "--format", fmt)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("dim, delta, r", [
-        ("2", "1e-320", "0.3"),  # the area rounds to more than the cell
-        ("2", "1e300", "0.7"),  # delta^2 overflows in the mirror
-        ("3", "1e-300", "0.3"),  # the float basis loses delta
-        ("3", "1e200", "0.7"),  # the cell's size overflows
-    ])
-    def test_extreme_delta_exits_2(self, capsys, dim, delta, r):
-        code, out, err = run(capsys, "measure", "--dim", dim, "--delta",
-                             delta, "--r", r)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "measure", "--dim", "2", "--delta",
                            "0.8", "--r", "0.5", "--format", "json")
@@ -203,13 +180,6 @@ class TestQuality:
                   "--optimize", "--delta", "0.5"])
         assert exc.value.code == 2
         assert "not allowed with" in capsys.readouterr().err
-
-    def test_infinite_density_exits_2(self, capsys):
-        code, out, err = run(capsys, "quality", "--dim", "3", "--mode",
-                             "covering", "--delta", "1e-310")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_union_without_closed_form_is_null(self, capsys):
         code, out, _ = run(capsys, "quality", "--dim", "4", "--mode",
@@ -382,3 +352,26 @@ class TestVerifyCommand:
         # 17 significant digits survive a float round-trip exactly
         assert float(row["union"]) == float(f"{float(row['union']):.17g}")
         assert "," in out and "." in out
+
+
+@pytest.mark.parametrize("argv", [
+    # pi r^2 / delta overflows at a subnormal delta; JSON would print
+    # Infinity, which is not JSON
+    ("measure", "--dim", "2", "--delta", "1e-320", "--r", "0.5"),
+    ("measure", "--dim", "2", "--delta", "1e-320", "--r", "0.5",
+     "--format", "json"),
+    ("quality", "--dim", "3", "--mode", "covering", "--delta", "1e-310"),
+    # the 2D area rounds to more than the cell
+    ("measure", "--dim", "2", "--delta", "1e-320", "--r", "0.3"),
+    # delta^2 overflows in the 2D mirror
+    ("measure", "--dim", "2", "--delta", "1e300", "--r", "0.7"),
+    # the float basis loses delta; the union was 6.9e283
+    ("measure", "--dim", "3", "--delta", "1e-300", "--r", "0.3"),
+    # the 3D cell's size overflows
+    ("measure", "--dim", "3", "--delta", "1e200", "--r", "0.7"),
+])
+def test_unrepresentable_result_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
