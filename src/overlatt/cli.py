@@ -16,6 +16,8 @@ from . import __version__
 from .geometry2d import critical_radii_2d
 from .geometry3d import build_cap_arrangement, critical_radii_3d, dual_radii_3d
 from .lattice import (
+    DELTA_MAX,
+    DELTA_MIN,
     DistortedLattice,
     covering_radius,
     packing_radius,
@@ -30,7 +32,6 @@ from .measures import (
     dist_overlap,
     free_space,
     measure_report,
-    union_fraction,
 )
 from .oracle import mc_union
 from .quality import (
@@ -170,31 +171,28 @@ def cmd_radii(args) -> int:
 
 def cmd_measure(args) -> int:
     lat = DistortedLattice(args.dim, args.delta)
-    fields = list(MeasureReport._fields)
+    est = None
     if args.oracle:
         est = mc_union(lat, args.r, samples=args.samples, seed=args.seed,
                        par=args.par)
-        try:
-            union = union_fraction(lat, args.r)
-        except NoClosedFormError:
-            union = est.mean
-        dens = density(lat, args.r)
-        rep = MeasureReport(
-            delta=args.delta, n=args.dim, r=args.r, density=dens,
-            union=union, dist_overlap=dist_overlap(lat, args.r),
-            vol_overlap=dens - union, free_space=free_space(lat, args.r))
-        fields += ["mc_union", "mc_se", "samples", "seed"]
-        rows = [tuple(rep) + (est.mean, est.std_error, est.samples,
-                              est.seed)]
-    else:
-        try:
-            rep = measure_report(lat, args.r)
-        except NoClosedFormError:
+    try:
+        rep = measure_report(lat, args.r)
+    except NoClosedFormError:
+        if est is None:
             raise ValueError(
                 f"no exact union form in dimension {args.dim}; rerun "
                 "with --oracle [--samples N --seed S]") from None
-        rows = [tuple(rep)]
-    _emit_rows(args, "measure", fields, rows)
+        # the estimate stands in for the union
+        dens = density(lat, args.r)
+        rep = MeasureReport(
+            delta=args.delta, n=args.dim, r=args.r, density=dens,
+            union=est.mean, dist_overlap=dist_overlap(lat, args.r),
+            vol_overlap=dens - est.mean, free_space=free_space(lat, args.r))
+    fields, row = list(MeasureReport._fields), tuple(rep)
+    if est is not None:
+        fields += ["mc_union", "mc_se", "samples", "seed"]
+        row += (est.mean, est.std_error, est.samples, est.seed)
+    _emit_rows(args, "measure", fields, [row])
     return 0
 
 
@@ -215,7 +213,9 @@ def cmd_quality(args) -> int:
             mode=QualityMode(args.mode),
             measure=OverlapMeasure(args.measure) if args.measure else None,
             omega=args.omega,
-            delta_range=(args.delta_lo, args.delta_hi),
+            delta_range=(
+                DELTA_MIN if args.delta_lo is None else args.delta_lo,
+                DELTA_MAX if args.delta_hi is None else args.delta_hi),
         )
         res = optimize_delta(query)
         fields = list(res.result._fields) + ["ties", "plateau"]
@@ -225,6 +225,8 @@ def cmd_quality(args) -> int:
         rows = [tuple(res.result) + (ties, plateau)]
         _emit_rows(args, "quality-optimize", fields, rows)
         return 0
+    if args.delta_lo is not None or args.delta_hi is not None:
+        raise ValueError("--delta-lo and --delta-hi need --optimize")
     if args.delta is None:
         raise ValueError("--delta is required unless --optimize is given")
     res = _quality_row(args.dim, args.delta, args.mode, args.measure,
@@ -235,6 +237,12 @@ def cmd_quality(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.preset:
+        given = [f"--{name}" for name in ("lo", "hi", "delta", "omega",
+                                          "mode", "measure")
+                 if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"--preset sets its own axes, mode and "
+                             f"measure; drop {' '.join(given)}")
         mode, measure, steps, axes = PRESETS[args.preset]
         steps = steps if args.steps is None else args.steps
         dim = 3 if args.dim is None else args.dim
@@ -248,7 +256,8 @@ def cmd_sweep(args) -> int:
         if args.variable == "delta":
             if lo <= 0.0:
                 raise ValueError(f"sweeping delta needs --lo > 0, got {lo}")
-            axes = lambda steps: (_geomspace(lo, hi, steps), [args.omega])
+            omega = 0.0 if args.omega is None else args.omega
+            axes = lambda steps: (_geomspace(lo, hi, steps), [omega])
         elif args.delta is None:
             raise ValueError(f"sweeping {args.variable} needs --delta")
         elif args.variable == "omega":
@@ -334,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     at.add_argument("--optimize", action="store_true",
                     help="search delta in [--delta-lo, --delta-hi]")
     p.add_argument("--omega", type=float, default=0.0)
-    p.add_argument("--delta-lo", type=float, default=0.05)
-    p.add_argument("--delta-hi", type=float, default=20.0)
+    p.add_argument("--delta-lo", type=float, default=None)
+    p.add_argument("--delta-hi", type=float, default=None)
     _add_output_flags(p)
     p.set_defaults(func=cmd_quality)
 
@@ -350,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--omega", type=float, default=0.0)
+    p.add_argument("--omega", type=float, default=None)
     p.add_argument("--mode", choices=("packing", "covering"), default=None)
     p.add_argument("--measure", choices=MEASURES, default=None)
     _add_output_flags(p)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lattice import DistortedLattice
+from .lattice import DistortedLattice, _check_delta, _check_radius
 
 _SQRT2 = math.sqrt(2.0)
 _THIRD = 1.0 / math.sqrt(3.0)
@@ -34,17 +34,12 @@ class CriticalRadii2D:
     delta: float
 
 
-def _validate_delta_unit(delta: float):
-    if not (delta > 0.0) or not math.isfinite(delta):
-        raise ValueError(f"distortion must be positive, got {delta}")
+def critical_radii_2d(delta: float) -> CriticalRadii2D:
+    """The three critical radii for delta in (0, 1]."""
+    _check_delta(delta)
     if delta > 1.0:
         raise ValueError(f"catalog covers delta in (0, 1]; reduce delta={delta} "
                          "via the 1/delta rescaling first")
-
-
-def critical_radii_2d(delta: float) -> CriticalRadii2D:
-    """The three critical radii for delta in (0, 1]."""
-    _validate_delta_unit(delta)
     return _critical_radii_2d(float(delta))
 
 
@@ -64,8 +59,7 @@ def segment_angles(delta: float, r: float) -> tuple[float, float]:
 
     Theta_i = 2 arccos(r_i / r) once r exceeds the edge distance r_i, else 0.
     """
-    if not (r >= 0.0) or not math.isfinite(r):
-        raise ValueError(f"radius must be finite and >= 0, got {r}")
+    _check_radius(r)
     return _segment_angles(critical_radii_2d(delta), r)
 
 
@@ -84,10 +78,8 @@ def voronoi_ball_area(delta: float, r: float) -> float:
     pi r^2 below the first edge distance; pi r^2 minus the active circular
     segments up to the vertex radius r3; the full cell area delta beyond.
     """
-    if not (delta > 0.0) or not math.isfinite(delta):
-        raise ValueError(f"distortion must be positive, got {delta}")
-    if not (r >= 0.0) or not math.isfinite(r):
-        raise ValueError(f"radius must be finite and >= 0, got {r}")
+    _check_delta(delta)
+    _check_radius(r)
     if delta > 1.0:
         # mirror lattice: cell of delta is the cell of 1/delta scaled by delta
         scale = delta * delta
@@ -112,10 +104,8 @@ def voronoi_ball_area(delta: float, r: float) -> float:
 
 def vol_overlap_2d(delta: float, r: float) -> float:
     """Volume-based overlap in 2D: density minus covered cell fraction."""
-    if not (delta > 0.0) or not math.isfinite(delta):
-        raise ValueError(f"distortion must be positive, got {delta}")
-    if not (r >= 0.0) or not math.isfinite(r):
-        raise ValueError(f"radius must be finite and >= 0, got {r}")
+    _check_delta(delta)
+    _check_radius(r)
     if delta > 1.0:
         # density and union are both invariant under the mirror rescaling
         return vol_overlap_2d(1.0 / delta, r / delta)
@@ -128,8 +118,7 @@ def covering_overlap_2d(delta: float) -> float:
 
     vol_overlap at r3: pi (delta^2 + 1)^2 / (8 delta) - 1.
     """
-    if not (delta > 0.0) or not math.isfinite(delta):
-        raise ValueError(f"distortion must be positive, got {delta}")
+    _check_delta(delta)
     if delta > 1.0:
         return covering_overlap_2d(1.0 / delta)
     d2 = delta * delta
@@ -151,8 +140,7 @@ def density_derivative_2d(delta: float, omega: float) -> float:
     from .measures import OverlapMeasure
     from .quality import max_radius_for_overlap
 
-    if not (delta > 0.0) or not math.isfinite(delta):
-        raise ValueError(f"distortion must be positive, got {delta}")
+    _check_delta(delta)
     if omega < 0.0 or not math.isfinite(omega):
         raise ValueError(f"overlap budget must be finite and >= 0, got {omega}")
     if delta >= 1.0:

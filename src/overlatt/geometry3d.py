@@ -67,6 +67,8 @@ import numpy as np
 
 from .lattice import (
     DistortedLattice,
+    _check_delta,
+    _check_radius,
     covering_radius,
     packing_radius,
     unit_ball_volume,
@@ -150,8 +152,7 @@ def spherical_cap_volume(r: float, d: float) -> float:
 
     Zero once d >= r; the full ball once d <= -r.
     """
-    if not (r >= 0.0) or not math.isfinite(r):
-        raise ValueError(f"radius must be finite and >= 0, got {r}")
+    _check_radius(r)
     if math.isnan(d):
         raise ValueError("plane distances must not be NaN")
     if d >= r:
@@ -212,8 +213,7 @@ def cap_pair_intersection_volume(r: float, plane1, plane2) -> float:
     with the spherical patch area from the two cone half-angles and the
     dihedral geometry, and each flat face a circular segment.
     """
-    if not (r >= 0.0) or not math.isfinite(r):
-        raise ValueError(f"radius must be finite and >= 0, got {r}")
+    _check_radius(r)
     n1, d1 = _plane(plane1)
     n2, d2 = _plane(plane2)
     if r == 0.0 or d1 >= r or d2 >= r:
@@ -524,8 +524,7 @@ def cap_triple_intersection_volume(r: float, plane1, plane2, plane3) -> float:
     so the error is a few ulps of r^3 (more for thin caps): a tiny
     volume is exact in absolute, not in relative terms.
     """
-    if not (r >= 0.0) or not math.isfinite(r):
-        raise ValueError(f"radius must be finite and >= 0, got {r}")
+    _check_radius(r)
     # a numpy scalar radius would make the arc flags numpy bools
     r = float(r)
     normals, dists = zip(*(_plane(p) for p in (plane1, plane2, plane3)))
@@ -798,8 +797,6 @@ def _build_arrangement(delta: float) -> CapArrangement:
     # the farthest vertex of the catalog's cell; the cube stands in for
     # every cell within 1e-9 of delta = 1
     cov = _SQRT3 / 2.0 if degenerate else covering_radius(lat)
-    if cov == math.inf:
-        raise OverflowError(f"the cell's size overflows at delta={delta!r}")
 
     # the face of B c lies at half its norm
     points = tables.points @ lat.basis.T
@@ -848,8 +845,7 @@ def _build_arrangement(delta: float) -> CapArrangement:
 
 def build_cap_arrangement(delta: float) -> CapArrangement:
     """Faces, edges, vertices and cap terms of the cell."""
-    if not (delta > 0.0) or not math.isfinite(delta):
-        raise ValueError(f"distortion must be finite and > 0, got {delta}")
+    _check_delta(delta)
     return _build_arrangement(float(delta))
 
 
@@ -883,10 +879,8 @@ def voronoi_ball_volume_3d(delta: float, r: float) -> float:
     Equals the full ball volume while the ball fits inside the cell and
     the cell volume delta once r reaches the covering radius.
     """
-    if not (delta > 0.0) or not math.isfinite(delta):
-        raise ValueError(f"distortion must be finite and > 0, got {delta}")
-    if not (r >= 0.0) or not math.isfinite(r):
-        raise ValueError(f"radius must be finite and >= 0, got {r}")
+    _check_delta(delta)
+    _check_radius(r)
     lat = DistortedLattice(3, delta)
     if r >= covering_radius(lat):
         return delta

@@ -23,6 +23,20 @@ DELTA_MIN = 0.05
 DELTA_MAX = 20.0
 
 
+def _check_delta(delta) -> None:
+    """The package's check of a distortion: a finite real > 0, not a bool."""
+    # False fails the range, and `is True` costs less than isinstance
+    if delta is True or not 0.0 < delta < math.inf:
+        raise ValueError(
+            f"distortion must be a finite number > 0, got {delta!r}")
+
+
+def _check_radius(r) -> None:
+    """The package's check of a radius: finite and >= 0."""
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"radius must be finite and >= 0, got {r}")
+
+
 @lru_cache(maxsize=None)
 def unit_ball_volume(n: int) -> float:
     """Volume of the unit ball in dimension n >= 1.
@@ -67,11 +81,7 @@ class DistortedLattice:
             object.__setattr__(self, "n", int(n))
         if self.n < 2:
             raise ValueError(f"dimension must be >= 2, got {self.n}")
-        if isinstance(self.delta, bool):
-            raise ValueError(
-                f"distortion must be a number, got {self.delta!r}")
-        if not (self.delta > 0.0) or not math.isfinite(self.delta):
-            raise ValueError(f"distortion must be positive, got {self.delta}")
+        _check_delta(self.delta)
 
     @cached_property
     def basis(self) -> np.ndarray:
@@ -115,13 +125,16 @@ def packing_radius(lat: DistortedLattice) -> float:
 
 
 def covering_radius(lat: DistortedLattice) -> float:
-    """Smallest radius whose balls cover space (deep hole distance)."""
+    """Smallest radius whose balls cover space (deep hole distance).
+    OverflowError where delta^2 overflows (delta above about 1.34e154)."""
     n, d = lat.n, lat.delta
     d2 = d * d
     if d <= 1.0:
         n2 = n * n
         return math.sqrt((n2 - 1.0) + (n2 + 2.0) * d2 + (n2 - 1.0) * d2 * d2) \
             / math.sqrt(12.0 * n)
+    if d2 == math.inf:
+        raise OverflowError(f"delta^2 overflows at delta={d!r}")
     if n % 2 == 1:
         return math.sqrt(n * n - 1.0 + d2) / (2.0 * math.sqrt(n))
     return math.sqrt(n * n - 2.0 + d2 + 1.0 / d2) / (2.0 * math.sqrt(n))

@@ -3,26 +3,30 @@
 Five scalar measures describe how balls of radius r placed on the lattice
 fill space: density (expected cover count of a point), union (covered
 fraction of the cell), a distance-based and a volume-based overlap, and
-free_space (relative slack below the covering radius).  Union and the
-volume overlap have closed forms in dimensions 2 and 3; higher dimensions
-fall back to the Monte Carlo oracle and must opt in by passing a sample
-budget.
+free_space (relative slack below the covering radius).  Every value here
+is a closed form.  Union and the volume overlap have one in dimensions 2
+and 3; in higher dimensions only below the packing radius and from the
+covering radius on, and between the two they raise NoClosedFormError.
+There the Monte Carlo oracle estimates them (oracle.mc_union,
+oracle.mc_vol_overlap, `overlatt measure --oracle`).
 """
 
 import enum
-import math
 from typing import NamedTuple
 
 from .geometry2d import voronoi_ball_area
 from .geometry3d import voronoi_ball_volume_3d
 from .lattice import (
     DistortedLattice,
+    _check_radius,
     covering_radius,
     packing_radius,
     shortest_vector_norm,
     unit_ball_volume,
 )
-from .oracle import mc_union
+
+# never called; perfbench/tests/test_bench.py traces this binding
+from .oracle import mc_union  # noqa: F401
 
 __all__ = [
     "MeasureReport",
@@ -50,16 +54,19 @@ class UndefinedRatioError(ValueError):
 
 
 class NoClosedFormError(ValueError):
-    """An exact value was requested in a dimension that only has the
-    Monte Carlo path, and no sample budget was supplied."""
+    """An exact value was requested where the package has no closed form:
+    the union or the volume overlap for n > 3 strictly between the
+    packing and covering radii.  oracle.mc_union and
+    oracle.mc_vol_overlap estimate them there."""
 
 
 class MeasureReport(NamedTuple):
     """All five measures at one (lattice, radius) point.
 
     Field order is the serialization order for CSV rows and JSON objects.
-    vol_overlap always equals density - union bit-for-bit because both
-    come from the same union evaluation.
+    measure_report sets vol_overlap to max(density - union, 0) of its one
+    union evaluation, bit-for-bit the value of vol_overlap() and of the
+    overlap column of quality.qual_packing with the volume measure.
     """
 
     delta: float
@@ -76,8 +83,7 @@ class MeasureReport(NamedTuple):
 
 
 def _validate_radius(r: float, positive: bool = False):
-    if not math.isfinite(r) or r < 0.0:
-        raise ValueError(f"radius must be finite and >= 0, got {r}")
+    _check_radius(r)
     if positive and r == 0.0:
         raise UndefinedRatioError("measure is a ratio with r in the "
                                   "denominator; r = 0 is undefined")
@@ -96,31 +102,27 @@ def _density(lat: DistortedLattice, r: float) -> float:
     return unit_ball_volume(lat.n) * r ** lat.n / lat.delta
 
 
-def union_fraction(lat: DistortedLattice, r: float, *,
-                   samples: int | None = None, seed: int = 0,
-                   par: int | None = None) -> float:
+def union_fraction(lat: DistortedLattice, r: float) -> float:
     """Fraction of space covered by at least one ball.
 
     Closed form for n in {2, 3}.  Any dimension is exact below the
     packing radius (union = density) and at or beyond the covering
-    radius (union = 1).  Elsewhere, n > 3 requires an explicit Monte
-    Carlo budget; the returned value is then an estimate whose standard
-    error is that of mc_union at the same arguments.
+    radius (union = 1); in between, n > 3 raises NoClosedFormError.
     """
-    _validate_radius(r)
+    # the closed forms of n = 2 and 3 check r themselves
     if lat.n == 2:
         return voronoi_ball_area(lat.delta, r) / lat.delta
     if lat.n == 3:
         return voronoi_ball_volume_3d(lat.delta, r) / lat.delta
+    _validate_radius(r)
     if r >= covering_radius(lat):
         return 1.0
     if r <= packing_radius(lat):
         return _density(lat, r)
-    if samples is None:
-        raise NoClosedFormError(
-            f"no closed form for union in dimension {lat.n}; pass samples= "
-            "to use the Monte Carlo oracle")
-    return mc_union(lat, r, samples=samples, seed=seed, par=par).mean
+    raise NoClosedFormError(
+        f"no closed form for the union in dimension {lat.n} between the "
+        "packing and covering radii; estimate it with oracle.mc_union or "
+        "mc_vol_overlap, or with `overlatt measure --oracle`")
 
 
 def dist_overlap(lat: DistortedLattice, r: float) -> float:
@@ -133,17 +135,14 @@ def dist_overlap(lat: DistortedLattice, r: float) -> float:
     return max((2.0 * r - shortest_vector_norm(lat)) / (2.0 * r), 0.0)
 
 
-def vol_overlap(lat: DistortedLattice, r: float, *,
-                samples: int | None = None, seed: int = 0,
-                par: int | None = None) -> float:
-    """Expected over-coverage of a point: density minus union.
+def vol_overlap(lat: DistortedLattice, r: float) -> float:
+    """Expected over-coverage of a point: density minus union, clamped
+    at 0 against rounding just above the packing radius.
 
-    Supports the same dimensions as union_fraction: closed form for
-    n = 2 and 3, the Monte Carlo oracle (samples=) for any n.
+    Supports the same dimensions and radii as union_fraction.
     """
     # union_fraction validates r
-    return (_density(lat, r)
-            - union_fraction(lat, r, samples=samples, seed=seed, par=par))
+    return max(_density(lat, r) - union_fraction(lat, r), 0.0)
 
 
 def free_space(lat: DistortedLattice, r: float) -> float:
@@ -156,19 +155,15 @@ def free_space(lat: DistortedLattice, r: float) -> float:
     return max((covering_radius(lat) - r) / r, 0.0)
 
 
-def measure_report(lat: DistortedLattice, r: float, *,
-                   samples: int | None = None, seed: int = 0,
-                   par: int | None = None) -> MeasureReport:
+def measure_report(lat: DistortedLattice, r: float) -> MeasureReport:
     """Evaluate all five measures at (lat, r).
 
-    Union is evaluated once and reused for vol_overlap, so the identity
-    vol_overlap = density - union is exact even on the oracle path.
-    Dimensions as for union_fraction: closed form for n = 2 and 3, the
-    Monte Carlo oracle (samples=) for any n.
+    Union is evaluated once and reused for vol_overlap.  Dimensions and
+    radii as for union_fraction.
     """
     _validate_radius(r, positive=True)
     dens = density(lat, r)
-    uni = union_fraction(lat, r, samples=samples, seed=seed, par=par)
+    uni = union_fraction(lat, r)
     return MeasureReport(
         delta=lat.delta,
         n=lat.n,
@@ -176,6 +171,6 @@ def measure_report(lat: DistortedLattice, r: float, *,
         density=dens,
         union=uni,
         dist_overlap=dist_overlap(lat, r),
-        vol_overlap=dens - uni,
+        vol_overlap=max(dens - uni, 0.0),
         free_space=free_space(lat, r),
     )

@@ -30,7 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .lattice import DistortedLattice, coverage_offsets, unit_ball_volume
+from .lattice import (DistortedLattice, _check_radius, coverage_offsets,
+                      unit_ball_volume)
 
 CHUNK = 1 << 20
 
@@ -136,8 +137,7 @@ def _binomial_se(p: float, n: int) -> float:
 
 def _validate_mc_args(r: float, samples: int, seed: int) -> tuple[int, int]:
     """samples and seed as Python ints, after checking all three."""
-    if not (r >= 0.0) or not math.isfinite(r):
-        raise ValueError(f"radius must be finite and >= 0, got {r}")
+    _check_radius(r)
     # Philox takes a 128-bit key, so this range is every seed it can replay
     return _check_int("samples", samples, 1), _check_int("seed", seed, 0,
                                                           1 << 128)

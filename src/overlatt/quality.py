@@ -288,7 +288,7 @@ def qual_packing(lat: DistortedLattice, measure: OverlapMeasure,
         # vol_overlap's own expression, without a second union evaluation;
         # the union has a value here: n > 3 gets this far only at omega
         # = 0, where r is the packing radius and the union is exact
-        overlap = _density(lat, r) - union
+        overlap = max(_density(lat, r) - union, 0.0)
     else:
         overlap = dist_overlap(lat, r)
     return QualityResult(

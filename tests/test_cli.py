@@ -188,6 +188,22 @@ class TestQuality:
         assert code == 0
         assert json.loads(out)["rows"][0]["union"] is None
 
+    def test_overlap_just_above_packing_radius_is_zero(self, capsys):
+        # density - union rounded to -1.4e-17 here
+        code, out, _ = run(capsys, "quality", "--dim", "2", "--mode",
+                           "packing", "--measure", "vol", "--delta",
+                           "0.05075647557406749", "--omega", "0")
+        assert code == 0
+        assert csv_rows(out)[0]["overlap"] == "0"
+
+    @pytest.mark.parametrize("flag", ("--delta-lo", "--delta-hi"))
+    def test_delta_range_needs_optimize(self, capsys, flag):
+        code, out, err = run(capsys, "quality", "--mode", "covering",
+                             "--dim", "2", "--delta", "0.5", flag, "3")
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
     def test_high_dim_volume_measure_exits_2(self, capsys):
         code, _, err = run(capsys, "quality", "--dim", "4", "--mode",
                            "packing", "--measure", "vol", "--omega", "0.1",
@@ -279,6 +295,16 @@ class TestSweep:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("flag, value", (
+        ("--lo", "5"), ("--hi", "9"), ("--delta", "0.5"), ("--omega", "0"),
+        ("--mode", "covering"), ("--measure", "dist")))
+    def test_preset_refuses_what_it_sets(self, capsys, flag, value):
+        code, out, err = run(capsys, "sweep", "--preset", "fig3-right",
+                             "--steps", "3", flag, value)
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
     @pytest.mark.parametrize("preset, mode, measure, deltas, omegas", [
         ("fig1-left", "packing", "dist", None, [0.5]),
         ("fig1-right", "covering", "free", None, [0.5]),
@@ -369,9 +395,15 @@ class TestVerifyCommand:
     ("measure", "--dim", "3", "--delta", "1e-300", "--r", "0.3"),
     # the 3D cell's size overflows
     ("measure", "--dim", "3", "--delta", "1e200", "--r", "0.7"),
+    # the covering radius overflows
+    ("quality", "--dim", "3", "--mode", "covering", "--delta", "1e200"),
+    ("quality", "--dim", "2", "--mode", "covering", "--delta", "1e200"),
 ])
 def test_unrepresentable_result_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.count("\n") == 1
+    # the float range, or a delta the closed forms cannot hold
+    assert (err.startswith("error: a value leaves the float range (")
+            or err.startswith("error: ") and "too far from 1" in err)

@@ -17,6 +17,23 @@ from overlatt.lattice import (
     nearest_lattice_point,
     nearest_distances,
 )
+from overlatt.geometry2d import (
+    covering_overlap_2d,
+    critical_radii_2d,
+    density_derivative_2d,
+    segment_angles,
+    vol_overlap_2d,
+    voronoi_ball_area,
+)
+from overlatt.geometry3d import (
+    build_cap_arrangement,
+    cap_pair_intersection_volume,
+    cap_triple_intersection_volume,
+    spherical_cap_volume,
+    voronoi_ball_volume_3d,
+)
+from overlatt.measures import union_fraction
+from overlatt.oracle import mc_union
 
 TOL = 1e-9
 
@@ -211,6 +228,64 @@ class TestCoveringRadius:
         for d in np.geomspace(0.05, 20.0, 41):
             lat = DistortedLattice(n, float(d))
             assert packing_radius(lat) < covering_radius(lat)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_overflowing_delta_raises(self, n):
+        # delta^2 overflows from about 1.34e154; odd and even n branch
+        assert math.isfinite(covering_radius(DistortedLattice(n, 1e150)))
+        with pytest.raises(OverflowError, match="delta"):
+            covering_radius(DistortedLattice(n, 1e200))
+
+
+class TestSharedChecks:
+    """Every entry point takes delta through one check and r through
+    another, so all accept and refuse the same values."""
+
+    DELTA_ENTRIES = {
+        "DistortedLattice": lambda d: DistortedLattice(3, d),
+        "critical_radii_2d": lambda d: critical_radii_2d(d),
+        "segment_angles": lambda d: segment_angles(d, 0.5),
+        "voronoi_ball_area": lambda d: voronoi_ball_area(d, 0.5),
+        "vol_overlap_2d": lambda d: vol_overlap_2d(d, 0.5),
+        "covering_overlap_2d": lambda d: covering_overlap_2d(d),
+        "density_derivative_2d": lambda d: density_derivative_2d(d, 0.1),
+        "build_cap_arrangement": lambda d: build_cap_arrangement(d),
+        "voronoi_ball_volume_3d": lambda d: voronoi_ball_volume_3d(d, 0.5),
+    }
+
+    RADIUS_ENTRIES = {
+        "segment_angles": lambda r: segment_angles(0.5, r),
+        "voronoi_ball_area": lambda r: voronoi_ball_area(0.5, r),
+        "vol_overlap_2d": lambda r: vol_overlap_2d(0.5, r),
+        "spherical_cap_volume": lambda r: spherical_cap_volume(r, 0.1),
+        "cap_pair_intersection_volume": lambda r: (
+            cap_pair_intersection_volume(r, ((1, 0, 0), 0.1),
+                                         ((0, 1, 0), 0.1))),
+        "cap_triple_intersection_volume": lambda r: (
+            cap_triple_intersection_volume(r, ((1, 0, 0), 0.1),
+                                           ((0, 1, 0), 0.1),
+                                           ((0, 0, 1), 0.1))),
+        "voronoi_ball_volume_3d": lambda r: voronoi_ball_volume_3d(0.5, r),
+        "union_fraction": lambda r: union_fraction(
+            DistortedLattice(3, 0.5), r),
+        "mc_union": lambda r: mc_union(DistortedLattice(3, 0.5), r,
+                                       samples=10),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(DELTA_ENTRIES))
+    @pytest.mark.parametrize("delta", (True, -0.5, float("inf")))
+    def test_one_distortion_check(self, entry, delta):
+        # True would otherwise be taken as the cube's delta = 1
+        with pytest.raises(ValueError, match=r"^distortion must be a finite "
+                                             r"number > 0, got "):
+            self.DELTA_ENTRIES[entry](delta)
+
+    @pytest.mark.parametrize("entry", sorted(RADIUS_ENTRIES))
+    @pytest.mark.parametrize("r", (-0.5, float("nan")))
+    def test_one_radius_check(self, entry, r):
+        with pytest.raises(ValueError, match=r"^radius must be finite and "
+                                             r">= 0, got "):
+            self.RADIUS_ENTRIES[entry](r)
 
 
 class TestNearestLatticePoint:
