@@ -101,6 +101,21 @@ def _emit_rows(args, command: str, fields, rows):
         _emit(_rows_csv(fields, rows), args.out)
 
 
+def _given(args, *names) -> dict:
+    """The flags among names that were given (not None), by name."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
+
+
+def _refuse_unread(args, reader: str, *names):
+    """ValueError naming the flags among names that were given, although
+    reader reads none of them."""
+    given = ", ".join("--" + name.replace("_", "-")
+                      for name in _given(args, *names))
+    if given:
+        raise ValueError(f"{reader} reads no {given}")
+
+
 def _geomspace(lo: float, hi: float, steps: int) -> list[float]:
     return [lo * (hi / lo) ** (i / (steps - 1)) for i in range(steps)]
 
@@ -173,8 +188,10 @@ def cmd_measure(args) -> int:
     lat = DistortedLattice(args.dim, args.delta)
     est = None
     if args.oracle:
-        est = mc_union(lat, args.r, samples=args.samples, seed=args.seed,
-                       par=args.par)
+        est = mc_union(lat, args.r, **_given(args, "samples", "seed", "par"))
+    else:
+        _refuse_unread(args, "measure without --oracle", "samples", "seed",
+                       "par")
     try:
         rep = measure_report(lat, args.r)
     except NoClosedFormError:
@@ -207,6 +224,8 @@ def _quality_row(n: int, delta: float, mode: str, measure: str | None,
 def cmd_quality(args) -> int:
     if args.mode == "packing" and args.measure is None:
         raise ValueError("packing mode requires --measure dist|vol")
+    if args.mode == "covering":
+        _refuse_unread(args, "covering mode", "measure")
     if args.optimize:
         query = QualityQuery(
             n=args.dim,
@@ -225,8 +244,8 @@ def cmd_quality(args) -> int:
         rows = [tuple(res.result) + (ties, plateau)]
         _emit_rows(args, "quality-optimize", fields, rows)
         return 0
-    if args.delta_lo is not None or args.delta_hi is not None:
-        raise ValueError("--delta-lo and --delta-hi need --optimize")
+    _refuse_unread(args, "quality without --optimize", "delta_lo",
+                   "delta_hi")
     if args.delta is None:
         raise ValueError("--delta is required unless --optimize is given")
     res = _quality_row(args.dim, args.delta, args.mode, args.measure,
@@ -237,16 +256,19 @@ def cmd_quality(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.preset:
-        given = [f"--{name}" for name in ("lo", "hi", "delta", "omega",
-                                          "mode", "measure")
-                 if getattr(args, name) is not None]
-        if given:
-            raise ValueError(f"--preset sets its own axes, mode and "
-                             f"measure; drop {' '.join(given)}")
+        # a preset sets its own axes, mode and measure
+        _refuse_unread(args, "sweep --preset", "lo", "hi", "delta", "omega",
+                       "mode", "measure")
         mode, measure, steps, axes = PRESETS[args.preset]
         steps = steps if args.steps is None else args.steps
         dim = 3 if args.dim is None else args.dim
     else:
+        # r rows are the five measures; delta and omega span --lo..--hi
+        _refuse_unread(args, f"sweep --variable {args.variable}",
+                       *(("mode", "measure", "omega") if args.variable == "r"
+                         else (args.variable,)))
+        if args.mode == "covering":
+            _refuse_unread(args, "covering mode", "measure")
         lo, hi, steps, dim = args.lo, args.hi, args.steps, args.dim
         mode, measure = args.mode, args.measure or "dist"
         if lo is None or hi is None or not lo < hi:
@@ -281,8 +303,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_suite(args.suite, samples=args.samples, seed=args.seed,
-                       par=args.par)
+    if args.suite == "theorems":
+        _refuse_unread(args, "verify --suite theorems", "samples", "seed",
+                       "par")
+    report = run_suite(args.suite, **_given(args, "samples", "seed", "par"))
     payload = report.as_dict()
     payload["version"] = __version__
     _emit([json.dumps(payload, indent=2)], args.out)
@@ -326,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--oracle", action="store_true",
                    help="add Monte Carlo columns (required for dim > 3)")
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--par", type=int, default=None)
     _add_output_flags(p)
     p.set_defaults(func=cmd_measure)
@@ -368,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite, exit "
                        "nonzero on failure")
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--par", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)

@@ -141,8 +141,7 @@ def density_derivative_2d(delta: float, omega: float) -> float:
     from .quality import max_radius_for_overlap
 
     _check_delta(delta)
-    if omega < 0.0 or not math.isfinite(omega):
-        raise ValueError(f"overlap budget must be finite and >= 0, got {omega}")
+    _check_radius(omega, "omega")
     if delta >= 1.0:
         raise OutOfBranchError(f"derivative branches cover 0 < delta < 1, "
                                f"got {delta}")

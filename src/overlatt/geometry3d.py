@@ -105,7 +105,8 @@ class DualRadii3D:
 
 def critical_radii_3d(delta: float) -> CriticalRadii3D:
     """The six critical radii for delta in (0, 1]."""
-    if not (0.0 < delta <= 1.0) or not math.isfinite(delta):
+    _check_delta(delta)
+    if delta > 1.0:
         raise ValueError(f"catalog covers delta in (0, 1], got {delta}")
     d2 = delta * delta
     r1 = math.sqrt((d2 + 2.0) / 12.0)
@@ -119,7 +120,8 @@ def critical_radii_3d(delta: float) -> CriticalRadii3D:
 
 def dual_radii_3d(delta: float) -> DualRadii3D:
     """The two vertex radii for delta >= 1."""
-    if not (delta >= 1.0) or not math.isfinite(delta):
+    _check_delta(delta)
+    if delta < 1.0:
         raise ValueError(f"dual catalog covers delta >= 1, got {delta}")
     d2 = delta * delta
     s1 = (d2 + 2.0) / (2.0 * _SQRT3 * delta)

@@ -23,18 +23,32 @@ DELTA_MIN = 0.05
 DELTA_MAX = 20.0
 
 
-def _check_delta(delta) -> None:
-    """The package's check of a distortion: a finite real > 0, not a bool."""
+def _check_delta(delta, name: str = "distortion") -> None:
+    """The package's check of a distortion, or of any argument named
+    `name` that must be a finite real > 0: a bool is refused."""
     # False fails the range, and `is True` costs less than isinstance
     if delta is True or not 0.0 < delta < math.inf:
-        raise ValueError(
-            f"distortion must be a finite number > 0, got {delta!r}")
+        raise ValueError(f"{name} must be a finite number > 0, got {delta!r}")
 
 
-def _check_radius(r) -> None:
-    """The package's check of a radius: finite and >= 0."""
-    if not 0.0 <= r < math.inf:
-        raise ValueError(f"radius must be finite and >= 0, got {r}")
+def _check_radius(r, name: str = "radius") -> None:
+    """The package's check of a radius, or of any argument named `name`
+    that must be a finite real >= 0: a bool is refused."""
+    if r is True or r is False or not 0.0 <= r < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {r}")
+
+
+def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """The package's check of an integer: value as a Python int, if it is
+    an integer (a numpy one too, but not a bool) in [lo, hi); ValueError
+    naming the argument otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < lo or (hi is not None and value >= hi):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -72,15 +86,9 @@ class DistortedLattice:
     delta: float
 
     def __post_init__(self):
-        n = self.n
-        if type(n) is not int:
-            # _objective builds thousands of lattices: keep int n cheap
-            if isinstance(n, bool) or not isinstance(n, np.integer):
-                raise ValueError(f"dimension must be an integer >= 2, "
-                                 f"got {n!r}")
-            object.__setattr__(self, "n", int(n))
-        if self.n < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.n}")
+        # _objective builds thousands of lattices: keep int n cheap
+        if type(self.n) is not int or self.n < 2:
+            object.__setattr__(self, "n", _check_int("dimension", self.n, 2))
         _check_delta(self.delta)
 
     @cached_property
@@ -170,7 +178,7 @@ def named_lattice(name: str, n: int | None = None) -> DistortedLattice:
         if n is None:
             raise ValueError("the integer lattice needs an explicit dimension")
         return DistortedLattice(n, delta)
-    if n is not None and n != fixed_n:
+    if n is not None and _check_int("dimension", n, 2) != fixed_n:
         raise ValueError(f"{name} lives in dimension {fixed_n}, got n={n}")
     return DistortedLattice(fixed_n, delta)
 

@@ -30,8 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .lattice import (DistortedLattice, _check_radius, coverage_offsets,
-                      unit_ball_volume)
+from .lattice import (DistortedLattice, _check_int, _check_radius,
+                      coverage_offsets, unit_ball_volume)
 
 CHUNK = 1 << 20
 
@@ -46,18 +46,6 @@ class McEstimate(NamedTuple):
     std_error: float
     samples: int
     seed: int
-
-
-def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
-    """value as a Python int, if it is an integer (a numpy one too, but not
-    a bool) in [lo, hi); ValueError naming the argument otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
-    if value < lo or (hi is not None and value >= hi):
-        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
-        raise ValueError(f"{name} must be {bounds}, got {value}")
-    return value
 
 
 def resolve_threads(par: int | None) -> int:

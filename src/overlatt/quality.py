@@ -9,13 +9,15 @@ covering minimizes density subject to a free-space bound.
 import bisect
 import enum
 import math
-import numbers
 from typing import NamedTuple
 
 from .lattice import (
     DELTA_MAX,
     DELTA_MIN,
     DistortedLattice,
+    _check_delta,
+    _check_int,
+    _check_radius,
     covering_radius,
     packing_radius,
     shortest_vector_norm,
@@ -122,8 +124,7 @@ class OptimizeResult(NamedTuple):
 
 
 def _validate_omega(measure: OverlapMeasure | None, omega: float):
-    if not math.isfinite(omega) or omega < 0.0:
-        raise ValueError(f"omega must be finite and >= 0, got {omega}")
+    _check_radius(omega, "omega")
     if measure is OverlapMeasure.DISTANCE_BASED and omega >= 1.0:
         raise ValueError("distance-based overlap never reaches 1; "
                          f"omega must be < 1, got {omega}")
@@ -392,16 +393,10 @@ def _breakpoints(n: int) -> tuple[float, float, float]:
 
 def _validate_query(query: QualityQuery):
     lo, hi = query.delta_range
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"delta_range must be finite, got {lo}, {hi}")
+    _check_delta(lo, "delta_range")
+    _check_delta(hi, "delta_range")
     if not (lo < hi):
         raise ValueError(f"delta_range must satisfy lo < hi, got {lo}, {hi}")
-    if lo <= 0.0:
-        raise ValueError(f"delta_range must be positive, got lo = {lo}")
-    if (not isinstance(query.scan_points, numbers.Integral)
-            or query.scan_points < 2):
-        raise ValueError("scan_points must be an integer >= 2, "
-                         f"got {query.scan_points!r}")
     if query.mode is QualityMode.PACKING:
         if query.measure is None:
             raise ValueError("packing mode requires an overlap measure")
@@ -445,7 +440,7 @@ def optimize_delta(query: QualityQuery) -> OptimizeResult:
     _validate_query(query)
     lo, hi = query.delta_range
     f = lambda d: _objective(query, d)
-    m = query.scan_points
+    m = _check_int("scan_points", query.scan_points, 2)
     kinks = [b for b in _breakpoints(query.n) if lo <= b <= hi]
     xs = sorted({lo, hi, *kinks,
                  *(lo * (hi / lo) ** (i / (m - 1)) for i in range(1, m - 1))})
@@ -582,12 +577,9 @@ def crossover_omega(n: int = 3, delta_a: float = 0.5, delta_b: float = 2.0,
     memo's own last lo, so every sign the scan and the bisection see is
     that of the full difference qual_packing gives.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if not isinstance(grid, numbers.Integral) or grid < 2:
-        raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
-    if not (math.isfinite(omega_hi) and omega_hi > 0.0):
-        raise ValueError(f"omega_hi must be finite and > 0, got {omega_hi}")
+    _check_delta(tol, "tol")
+    grid = _check_int("grid", grid, 2)
+    _check_delta(omega_hi, "omega_hi")
     lat_a = DistortedLattice(n, delta_a)
     lat_b = DistortedLattice(n, delta_b)
     memos = (_OverlapMemo(lat_a), _OverlapMemo(lat_b))

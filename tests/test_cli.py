@@ -343,6 +343,38 @@ class TestSweep:
         assert len(text.splitlines()) == 5
 
 
+class TestUnreadFlags:
+    """A flag that nothing reads exits 2 and is named, not ignored."""
+
+    SWEEP = ("sweep", "--steps", "3", "--dim", "2")
+
+    @pytest.mark.parametrize("argv, flags", [
+        (SWEEP + ("--variable", "r", "--lo", "0.2", "--hi", "0.6",
+                  "--delta", "1", "--mode", "covering", "--measure", "vol",
+                  "--omega", "5"), ("--mode", "--measure", "--omega")),
+        (SWEEP + ("--variable", "omega", "--lo", "0", "--hi", "0.5",
+                  "--delta", "1", "--mode", "covering", "--omega", "7"),
+         ("--omega",)),
+        (SWEEP + ("--variable", "delta", "--lo", "0.5", "--hi", "2",
+                  "--mode", "covering", "--delta", "1"), ("--delta",)),
+        (("quality", "--dim", "2", "--delta", "0.5", "--mode", "covering",
+          "--measure", "vol"), ("--measure",)),
+        (SWEEP + ("--variable", "delta", "--lo", "0.5", "--hi", "2",
+                  "--mode", "covering", "--measure", "dist"), ("--measure",)),
+        (("measure", "--dim", "3", "--delta", "0.5", "--r", "0.6",
+          "--samples", "10", "--seed", "3", "--par", "2"),
+         ("--samples", "--seed", "--par")),
+        (("verify", "--suite", "theorems", "--samples", "10", "--seed", "3",
+          "--par", "2"), ("--samples", "--seed", "--par")),
+    ], ids=["sweep-r", "sweep-omega", "sweep-delta", "quality-covering",
+            "sweep-covering", "measure-without-oracle", "verify-theorems"])
+    def test_unread_flag_exits_2(self, capsys, argv, flags):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert all(flag in err for flag in flags)
+
+
 class TestVerifyCommand:
     def test_theorems_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "theorems")

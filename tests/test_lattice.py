@@ -29,11 +29,22 @@ from overlatt.geometry3d import (
     build_cap_arrangement,
     cap_pair_intersection_volume,
     cap_triple_intersection_volume,
+    critical_radii_3d,
+    dual_radii_3d,
     spherical_cap_volume,
     voronoi_ball_volume_3d,
 )
-from overlatt.measures import union_fraction
+from overlatt.measures import OverlapMeasure, union_fraction
 from overlatt.oracle import mc_union
+from overlatt.quality import (
+    QualityMode,
+    QualityQuery,
+    crossover_omega,
+    max_radius_for_overlap,
+    optimize_delta,
+    qual_covering,
+    qual_packing,
+)
 
 TOL = 1e-9
 
@@ -237,9 +248,13 @@ class TestCoveringRadius:
             covering_radius(DistortedLattice(n, 1e200))
 
 
+VOL = OverlapMeasure.VOLUME_BASED
+
+
 class TestSharedChecks:
-    """Every entry point takes delta through one check and r through
-    another, so all accept and refuse the same values."""
+    """Every entry point takes each kind of argument (distortion, radius,
+    integer, budget, tolerance) through that kind's one check, so all
+    accept and refuse the same values."""
 
     DELTA_ENTRIES = {
         "DistortedLattice": lambda d: DistortedLattice(3, d),
@@ -251,6 +266,8 @@ class TestSharedChecks:
         "density_derivative_2d": lambda d: density_derivative_2d(d, 0.1),
         "build_cap_arrangement": lambda d: build_cap_arrangement(d),
         "voronoi_ball_volume_3d": lambda d: voronoi_ball_volume_3d(d, 0.5),
+        "critical_radii_3d": lambda d: critical_radii_3d(d),
+        "dual_radii_3d": lambda d: dual_radii_3d(d),
     }
 
     RADIUS_ENTRIES = {
@@ -272,6 +289,37 @@ class TestSharedChecks:
                                        samples=10),
     }
 
+    # entry -> (argument name in the message, call)
+    INT_ENTRIES = {
+        "DistortedLattice": ("dimension", lambda k: DistortedLattice(k, 0.5)),
+        "named_lattice": ("dimension", lambda k: named_lattice("hexagonal", k)),
+        "mc_union": ("samples", lambda k: mc_union(DistortedLattice(3, 0.5),
+                                                   0.5, samples=k)),
+        "optimize_delta": ("scan_points", lambda k: optimize_delta(
+            QualityQuery(3, QualityMode.COVERING, scan_points=k))),
+        "crossover_omega": ("grid", lambda k: crossover_omega(grid=k)),
+    }
+
+    BUDGET_ENTRIES = {
+        "qual_packing": lambda w: qual_packing(DistortedLattice(3, 0.5),
+                                               VOL, w),
+        "qual_covering": lambda w: qual_covering(DistortedLattice(3, 0.5), w),
+        "max_radius_for_overlap": lambda w: max_radius_for_overlap(
+            DistortedLattice(3, 0.5), VOL, w),
+        "optimize_delta": lambda w: optimize_delta(
+            QualityQuery(3, QualityMode.PACKING, VOL, omega=w)),
+        "density_derivative_2d": lambda w: density_derivative_2d(0.5, w),
+    }
+
+    TOLERANCE_ENTRIES = {
+        "crossover_omega tol": ("tol", lambda t: crossover_omega(tol=t)),
+        "crossover_omega omega_hi": ("omega_hi",
+                                     lambda t: crossover_omega(omega_hi=t)),
+        "optimize_delta delta_range": ("delta_range", lambda t: (
+            optimize_delta(QualityQuery(3, QualityMode.COVERING,
+                                        delta_range=(t, 2.0))))),
+    }
+
     @pytest.mark.parametrize("entry", sorted(DELTA_ENTRIES))
     @pytest.mark.parametrize("delta", (True, -0.5, float("inf")))
     def test_one_distortion_check(self, entry, delta):
@@ -281,11 +329,39 @@ class TestSharedChecks:
             self.DELTA_ENTRIES[entry](delta)
 
     @pytest.mark.parametrize("entry", sorted(RADIUS_ENTRIES))
-    @pytest.mark.parametrize("r", (-0.5, float("nan")))
+    @pytest.mark.parametrize("r", (True, -0.5, float("nan")))
     def test_one_radius_check(self, entry, r):
         with pytest.raises(ValueError, match=r"^radius must be finite and "
                                              r">= 0, got "):
             self.RADIUS_ENTRIES[entry](r)
+
+    @pytest.mark.parametrize("entry", sorted(INT_ENTRIES))
+    @pytest.mark.parametrize("k", (True, 2.5))
+    def test_one_integer_check(self, entry, k):
+        name, call = self.INT_ENTRIES[entry]
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, "
+                                             r"got "):
+            call(k)
+
+    def test_numpy_integer_grid_gives_the_same_float(self):
+        got = crossover_omega(grid=np.int64(11))
+        assert type(got) is float
+        assert got == crossover_omega(grid=11)
+
+    @pytest.mark.parametrize("entry", sorted(BUDGET_ENTRIES))
+    @pytest.mark.parametrize("omega", (True, -0.1, float("nan")))
+    def test_one_budget_check(self, entry, omega):
+        with pytest.raises(ValueError, match=r"^omega must be finite and "
+                                             r">= 0, got "):
+            self.BUDGET_ENTRIES[entry](omega)
+
+    @pytest.mark.parametrize("entry", sorted(TOLERANCE_ENTRIES))
+    @pytest.mark.parametrize("tol", (True, 0.0, float("inf")))
+    def test_one_tolerance_check(self, entry, tol):
+        name, call = self.TOLERANCE_ENTRIES[entry]
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite "
+                                             r"number > 0, got "):
+            call(tol)
 
 
 class TestNearestLatticePoint:
