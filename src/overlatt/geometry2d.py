@@ -1,4 +1,4 @@
-"""Closed-form area of (Voronoi cell ∩ ball) in 2D and its distortion derivative.
+"""Closed-form area of (Voronoi cell ∩ ball) in 2D and its r-slope.
 
 For 0 < delta <= 1 the Voronoi cell is a hexagon bounded by six bisector
 edges: four at distance r1 from the +-basis columns and two at distance r2
@@ -14,14 +14,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lattice import DistortedLattice, _check_delta, _check_radius
+from .lattice import _check_delta, _check_radius
 
 _SQRT2 = math.sqrt(2.0)
-_THIRD = 1.0 / math.sqrt(3.0)
-
-
-class OutOfBranchError(ValueError):
-    """The (delta, omega) query lies outside the derivative branch domains."""
 
 
 @dataclass(frozen=True)
@@ -80,15 +75,26 @@ def voronoi_ball_area(delta: float, r: float) -> float:
     """
     _check_delta(delta)
     _check_radius(r)
+    return _area_and_slope(delta, r)[0]
+
+
+def _area_and_slope(delta: float, r: float) -> tuple[float, float]:
+    """voronoi_ball_area and its r-slope dA/dr, for a checked delta and r.
+
+    A segment of central angle Theta cut at radius r has r-slope
+    r Theta, so dA/dr = r (2 pi - 4 Theta_1 - 2 Theta_2), which falls
+    to 0 at r3; delta > 1 is the mirror delta A'(1/delta, r/delta).
+    """
     if delta > 1.0:
         # mirror lattice: cell of delta is the cell of 1/delta scaled by delta
         scale = delta * delta
         if scale == math.inf:
             raise OverflowError(f"delta^2 overflows at delta={delta!r}")
-        return scale * voronoi_ball_area(1.0 / delta, r / delta)
+        area, slope = _area_and_slope(1.0 / delta, r / delta)
+        return scale * area, delta * slope
     rad = _critical_radii_2d(float(delta))
     if r <= min(rad.r1, rad.r2):
-        return math.pi * r * r
+        return math.pi * r * r, 2.0 * math.pi * r
     if r <= rad.r3:
         t1, t2 = _segment_angles(rad, r)
         area = r * r * (math.pi - 2.0 * t1 - t2
@@ -98,8 +104,8 @@ def voronoi_ball_area(delta: float, r: float) -> float:
             raise ValueError(f"the area {area!r} exceeds the cell area at "
                              f"delta={delta!r}: delta is too far from 1 "
                              "for floating point")
-        return area
-    return delta
+        return area, r * (2.0 * math.pi - 4.0 * t1 - 2.0 * t2)
+    return delta, 0.0
 
 
 def vol_overlap_2d(delta: float, r: float) -> float:
@@ -123,62 +129,3 @@ def covering_overlap_2d(delta: float) -> float:
         return covering_overlap_2d(1.0 / delta)
     d2 = delta * delta
     return math.pi * (d2 + 1.0) ** 2 / (8.0 * delta) - 1.0
-
-
-def density_derivative_2d(delta: float, omega: float) -> float:
-    """d/d delta of density(delta, r(delta, omega)) for 0 < delta < 1.
-
-    r(delta, omega) is the radius at which the volume overlap reaches the
-    budget omega, from the shared inversion
-    quality.max_radius_for_overlap.  Three closed-form branches, joined
-    continuously: only the r2 segments active, only the r1 segments
-    active, or both.  Vanishes at delta = 1/sqrt(3) (for omega > 0) and
-    at the covering budget; positive below 1/sqrt(3) on the first branch,
-    negative above it on the second.
-    """
-    # quality imports measures, which imports this module
-    from .measures import OverlapMeasure
-    from .quality import max_radius_for_overlap
-
-    _check_delta(delta)
-    _check_radius(omega, "omega")
-    if delta >= 1.0:
-        raise OutOfBranchError(f"derivative branches cover 0 < delta < 1, "
-                               f"got {delta}")
-    omega_cov = covering_overlap_2d(delta)
-    if omega > omega_cov:
-        raise OutOfBranchError(
-            f"budget {omega} exceeds the covering budget {omega_cov:.6g} "
-            f"at delta={delta}; r(delta, omega) leaves the branch domain")
-    if omega == 0.0:
-        # r = packing radius; the active-segment count jumps at 1/sqrt(3)
-        if abs(delta - _THIRD) < 1e-12:
-            raise OutOfBranchError(
-                "kink: one-sided derivatives differ at delta = 1/sqrt(3) "
-                "with zero budget")
-        if delta < _THIRD:
-            return math.pi / 2.0
-        return math.pi * (delta * delta - 1.0) / (8.0 * delta * delta)
-
-    rad = critical_radii_2d(delta)
-    r_switch = max(rad.r1, rad.r2)
-    omega_switch = vol_overlap_2d(delta, r_switch)
-    r = max_radius_for_overlap(DistortedLattice(2, delta),
-                               OverlapMeasure.VOLUME_BASED, omega)
-    d2 = delta * delta
-    u = math.sqrt(d2 + 1.0)
-    s = math.sqrt(max(2.0 * r * r - d2, 0.0))
-    t = math.sqrt(max(8.0 * r * r - d2 - 1.0, 0.0))
-    half_t2 = math.acos(min(delta / (_SQRT2 * r), 1.0))
-    half_t1 = math.acos(min(u / (2.0 * _SQRT2 * r), 1.0))
-
-    if omega <= omega_switch:
-        if delta < _THIRD:
-            # r2 < r <= r1: only the two segments at r2 are active
-            return math.pi * s / (2.0 * delta * half_t2)
-        # r1 < r <= r2: only the four segments at r1 are active
-        return math.pi * (d2 - 1.0) * t / (8.0 * d2 * u * half_t1)
-    # both families active up to the vertex radius
-    num = (d2 - 1.0) * t + 2.0 * delta * u * s
-    den = 4.0 * d2 * u * (2.0 * half_t1 + half_t2)
-    return math.pi * num / den

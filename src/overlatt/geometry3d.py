@@ -69,9 +69,9 @@ from .lattice import (
     DistortedLattice,
     _check_delta,
     _check_radius,
+    _unit_ball_volume,
     covering_radius,
     packing_radius,
-    unit_ball_volume,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -857,7 +857,7 @@ def build_cap_arrangement(delta: float) -> CapArrangement:
 def _inclusion_exclusion(arr: CapArrangement, r: float) -> float:
     """Raw cap sum over the faces, edges and three-valent vertices, one
     evaluation per orbit times its size; exact below the covering radius."""
-    vol = unit_ball_volume(3) * r ** 3
+    vol = _unit_ball_volume(3) * r ** 3
     for p in arr.planes:
         if p.distance < r:
             vol -= spherical_cap_volume(r, p.distance)
@@ -888,11 +888,11 @@ def voronoi_ball_volume_3d(delta: float, r: float) -> float:
         return delta
     arr = build_cap_arrangement(delta)
     if r <= min(p.distance for p in arr.planes):
-        return unit_ball_volume(3) * r ** 3
+        return _unit_ball_volume(3) * r ** 3
     return _inclusion_exclusion(arr, r)
 
 
 def vol_overlap_3d(delta: float, r: float) -> float:
     """Average overlapping volume per sphere, normalized by cell volume."""
-    ball = unit_ball_volume(3) * r ** 3
+    ball = _unit_ball_volume(3) * r ** 3
     return max(0.0, (ball - voronoi_ball_volume_3d(delta, r)) / delta)

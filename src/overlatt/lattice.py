@@ -51,14 +51,17 @@ def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
     return value
 
 
-@lru_cache(maxsize=None)
 def unit_ball_volume(n: int) -> float:
     """Volume of the unit ball in dimension n >= 1.
 
     Even n: pi^(n/2) / (n/2)!.  Odd n: 2^((n+1)/2) * pi^((n-1)/2) / n!!.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    return _unit_ball_volume(_check_int("dimension", n, 1))
+
+
+@lru_cache(maxsize=None)
+def _unit_ball_volume(n: int) -> float:
+    # unchecked, for the density evaluations of an already checked lattice
     if n % 2 == 0:
         return math.pi ** (n // 2) / math.factorial(n // 2)
     k = (n + 1) // 2

@@ -12,17 +12,18 @@ oracle.mc_vol_overlap, `overlatt measure --oracle`).
 """
 
 import enum
+import math
 from typing import NamedTuple
 
-from .geometry2d import voronoi_ball_area
+from .geometry2d import _area_and_slope, voronoi_ball_area
 from .geometry3d import voronoi_ball_volume_3d
 from .lattice import (
     DistortedLattice,
     _check_radius,
+    _unit_ball_volume,
     covering_radius,
     packing_radius,
     shortest_vector_norm,
-    unit_ball_volume,
 )
 
 # never called; perfbench/tests/test_bench.py traces this binding
@@ -99,7 +100,7 @@ def density(lat: DistortedLattice, r: float) -> float:
 
 
 def _density(lat: DistortedLattice, r: float) -> float:
-    return unit_ball_volume(lat.n) * r ** lat.n / lat.delta
+    return _unit_ball_volume(lat.n) * r ** lat.n / lat.delta
 
 
 def union_fraction(lat: DistortedLattice, r: float) -> float:
@@ -143,6 +144,16 @@ def vol_overlap(lat: DistortedLattice, r: float) -> float:
     """
     # union_fraction validates r
     return max(_density(lat, r) - union_fraction(lat, r), 0.0)
+
+
+def _vol_overlap_and_slope(lat: DistortedLattice,
+                           r: float) -> tuple[float, float]:
+    """vol_overlap of a 2D lattice, bit for bit, and its r-slope
+    (2 pi r - dA/dr) / delta, from one evaluation of the area branches."""
+    _check_radius(r)
+    area, slope = _area_and_slope(lat.delta, r)
+    overlap = max(_density(lat, r) - area / lat.delta, 0.0)
+    return overlap, (2.0 * math.pi * r - slope) / lat.delta
 
 
 def free_space(lat: DistortedLattice, r: float) -> float:

@@ -3,7 +3,9 @@
 Both qualities follow the same two-step scheme: find the extremal radius
 that satisfies a scalar constraint budget omega, then report the density
 at that radius.  Packing maximizes density subject to an overlap bound;
-covering minimizes density subject to a free-space bound.
+covering minimizes density subject to a free-space bound.  The 2D
+density derivative along the volume-measure optimum sits beside the
+inversion it calls.
 """
 
 import bisect
@@ -11,6 +13,11 @@ import enum
 import math
 from typing import NamedTuple
 
+from .geometry2d import (
+    covering_overlap_2d,
+    critical_radii_2d,
+    vol_overlap_2d,
+)
 from .lattice import (
     DELTA_MAX,
     DELTA_MIN,
@@ -18,6 +25,7 @@ from .lattice import (
     _check_delta,
     _check_int,
     _check_radius,
+    _unit_ball_volume,
     covering_radius,
     packing_radius,
     shortest_vector_norm,
@@ -26,6 +34,7 @@ from .measures import (
     NoClosedFormError,
     OverlapMeasure,
     _density,
+    _vol_overlap_and_slope,
     density,
     dist_overlap,
     free_space,
@@ -36,10 +45,12 @@ from .measures import (
 __all__ = [
     "NoCrossoverError",
     "OptimizeResult",
+    "OutOfBranchError",
     "QualityMode",
     "QualityQuery",
     "QualityResult",
     "crossover_omega",
+    "density_derivative_2d",
     "max_radius_for_overlap",
     "optimize_delta",
     "qual_covering",
@@ -59,6 +70,9 @@ DELTA_REFINE_TOL = 1e-11
 # this far apart, relative; far above the ulp-level error of r ** n
 SEPARATION_TOL = 1e-12
 
+_SQRT2 = math.sqrt(2.0)
+_THIRD = 1.0 / math.sqrt(3.0)
+
 
 class QualityMode(enum.Enum):
     PACKING = "packing"
@@ -67,6 +81,10 @@ class QualityMode(enum.Enum):
 
 class NoCrossoverError(RuntimeError):
     """The density difference did not change sign exactly once."""
+
+
+class OutOfBranchError(ValueError):
+    """The (delta, omega) query lies outside the derivative branch domains."""
 
 
 class QualityQuery(NamedTuple):
@@ -113,7 +131,12 @@ class OptimizeResult(NamedTuple):
     genuinely non-unique).  When the objective is flat at its optimum
     over whole intervals, `plateau` is set and `plateau_ranges` holds
     the refined intervals; delta_star is then the midpoint of the widest
-    one.  Plateau edges are located to about 1e-6.
+    one.  A plateau edge is where the objective leaves the TIE_TOL band
+    below the best value, bisected to 1e-9.  The objective meets its
+    plateau value so flatly that this band reaches past the true edge of
+    the plateau, by up to about 1.6e-3 in delta (the volume measure at
+    omega 0.5: [0.420377, 0.585955] in 3D against the exact [0.421781,
+    0.584323]).
     """
 
     delta_star: float
@@ -138,22 +161,37 @@ def max_radius_for_overlap(lat: DistortedLattice,
 
     Volume measure: the overlap is zero up to the packing radius and
     strictly increasing beyond it, so f(r) = vol_overlap(r) - omega has
-    one root.  Doubling from the packing radius brackets it in
-    [lo, hi] = [2^(k-1), 2^k] packing_radius (k >= 1), and ITP
-    (Oliveira & Takahashi, ACM TOMS 47, 2020; k1 = 0.2 / (hi - lo),
-    k2 = 2, n0 = 1) shrinks the bracket: a regula falsi step, truncated
-    towards the midpoint by k1 (hi - lo)^2 and projected into the
-    interval that keeps the bisection worst case.  Every step keeps
-    vol_overlap(lo) <= omega < vol_overlap(hi) and the loop stops at
-    hi - lo <= max(RADIUS_TOL, ulp(hi)), returning lo: within RADIUS_TOL
-    of the root, or its float neighbour where floats are spaced wider
-    than that (radii above 2^13).  Where the overlap is smooth it
-    converges superlinearly (about 12 evaluations instead of 40); it
-    never evaluates more than ceil(log2((hi - lo) / RADIUS_TOL)) + 1
-    times, one more than bisection of the same bracket.  The brackets
-    are those of a fresh memo, `_OverlapMemo(lat).brackets(omega)`;
-    crossover_omega steps through the same method from the tightest
-    start bracket its warm memos hold.
+    one root.  Past the covering radius the union is 1 and the overlap
+    is density - 1, so once omega reaches the covering overlap the root
+    is r_c = (delta (1 + omega) / V_n)^(1/n), settled on the two
+    neighbouring floats that bracket omega.  Below it, doubling from
+    the packing radius brackets the root in [lo, hi] = [2^(k-1),
+    2^k] packing_radius (k >= 1), and the bracket shrinks step by step:
+    - n = 2: Newton from hi on the exact r-slope of the overlap, which
+      is convex and increasing, so the steps approach the root from
+      above.  A step that leaves the bracket, has no positive slope or
+      fails to halve the Newton step before it bisects instead.  Once
+      a step is under RADIUS_TOL / 4, one probe RADIUS_TOL / 2 below
+      its target closes the bracket, and a target that rounds onto lo
+      is closed by a probe RADIUS_TOL / 2 above lo (about 8
+      evaluations instead of 40);
+    - n = 3: ITP (Oliveira & Takahashi, ACM TOMS 47, 2020; k1 = 0.2 /
+      (hi - lo), k2 = 2, n0 = 1), a regula falsi step truncated towards
+      the midpoint by k1 (hi - lo)^2 and projected into the interval
+      that keeps the bisection worst case (about 12 evaluations).
+    Every step keeps vol_overlap(lo) <= omega < vol_overlap(hi) and the
+    loop stops at hi - lo <= max(RADIUS_TOL, ulp(hi)), returning lo:
+    within RADIUS_TOL of the root, or its float neighbour where floats
+    are spaced wider than that (radii above 2^13).  ITP never evaluates
+    more than ceil(log2((hi - lo) / RADIUS_TOL)) + 1 times, one more
+    than bisection of the same bracket.  The Newton steps carry no such
+    guarantee for an arbitrary function, but the halving rule bounds
+    them, a slope of zero bisects throughout, and on the convex 2D
+    overlap they stay far under that bound: at most 12 evaluations per
+    inversion, the doubling included, over 360 seeded inversions.
+    The brackets are those of a fresh memo,
+    `_OverlapMemo(lat).brackets(omega)`; crossover_omega steps through
+    the same method from the tightest start bracket its warm memos hold.
 
     The distance measure works in any dimension n >= 2.  The volume
     measure uses the closed-form union of n = 2 and 3; for n > 3 it
@@ -178,7 +216,9 @@ class _OverlapMemo:
 
     The overlap is monotone in r, so each stored radius brackets the
     inversion of every later omega.  The packing radius is stored from
-    the start with its exact overlap 0.
+    the start with its exact overlap 0.  For n = 2 each radius also
+    keeps the overlap's r-slope, for the Newton steps; n = 3 stores NaN
+    there, as it has no closed-form slope.
     """
 
     def __init__(self, lat: DistortedLattice):
@@ -186,16 +226,26 @@ class _OverlapMemo:
         self.pack = packing_radius(lat)
         self.radii = [self.pack]  # sorted and distinct
         self.values = [0.0]
+        # the overlap rises from the packing radius with slope 0
+        self.slopes = [0.0]
+
+    def evaluate(self, r: float) -> tuple[float, float]:
+        """(vol_overlap(lat, r), its r-slope), evaluated once per radius."""
+        i = bisect.bisect_left(self.radii, r)
+        if i < len(self.radii) and self.radii[i] == r:
+            return self.values[i], self.slopes[i]
+        if self.lat.n == 2:
+            value, slope = _vol_overlap_and_slope(self.lat, r)
+        else:
+            value, slope = vol_overlap(self.lat, r), math.nan
+        self.radii.insert(i, r)
+        self.values.insert(i, value)
+        self.slopes.insert(i, slope)
+        return value, slope
 
     def overlap(self, r: float) -> float:
         """vol_overlap(lat, r), evaluated once per radius."""
-        i = bisect.bisect_left(self.radii, r)
-        if i < len(self.radii) and self.radii[i] == r:
-            return self.values[i]
-        value = vol_overlap(self.lat, r)
-        self.radii.insert(i, r)
-        self.values.insert(i, value)
-        return value
+        return self.evaluate(r)[0]
 
     def bracket(self, omega: float):
         """(lo, f_lo, hi, f_hi) with f = overlap - omega, f_lo <= 0 < f_hi.
@@ -215,57 +265,141 @@ class _OverlapMemo:
         """Yield the volume inversion's brackets (lo, hi) for omega > 0.
 
         The start bracket is the tightest one the memo holds, [packing
-        radius, inf] when it is fresh; an infinite hi doubles from 2 *
-        packing radius until the overlap there exceeds omega.  The first
-        bracket yielded is the start after any doubling, then one
-        follows every ITP step; each keeps overlap(lo) <= omega <
-        overlap(hi) and nests in the one before.  On a fresh memo the
-        last lo is max_radius_for_overlap's radius.  Raises
-        NoClosedFormError for n > 3, where the overlap has no closed
-        form.
+        radius, inf] when it is fresh.  An infinite hi is settled in
+        closed form when omega reaches the covering overlap, and doubles
+        from 2 * packing radius until the overlap there exceeds omega
+        otherwise.  The first bracket yielded is the start after that,
+        then one follows every Newton (n = 2) or ITP (n = 3) step; each
+        keeps overlap(lo) <= omega < overlap(hi) and nests in the one
+        before.  On a fresh memo the last lo is max_radius_for_overlap's
+        radius.  Raises NoClosedFormError for n > 3, where the overlap
+        has no closed form.
         """
-        if self.lat.n > 3:
+        lat = self.lat
+        if lat.n > 3:
             raise NoClosedFormError(
                 "the quality layer's volume measure needs the closed-form "
-                f"union of n = 2 or 3, got n = {self.lat.n}")
+                f"union of n = 2 or 3, got n = {lat.n}")
         lo, f_lo, hi, f_hi = self.bracket(omega)
         if hi == math.inf:
-            hi = 2.0 * self.pack
-            while hi <= lo:
-                hi *= 2.0
-            f_hi = self.overlap(hi) - omega
-            while f_hi <= 0.0:
-                lo, f_lo = hi, f_hi
-                hi *= 2.0
-                f_hi = self.overlap(hi) - omega
+            if _density(lat, covering_radius(lat)) - 1.0 <= omega:
+                # past the covering radius the overlap is density - 1:
+                # step from its root to the float where f changes sign
+                r = (lat.delta * (1.0 + omega)
+                     / _unit_ball_volume(lat.n)) ** (1.0 / lat.n)
+                below = self.overlap(r) <= omega
+                while (self.overlap(r) <= omega) == below:
+                    r = math.nextafter(r, math.inf if below else 0.0)
+            else:
+                r = 2.0 * self.pack
+                while r <= lo or self.overlap(r) <= omega:
+                    r *= 2.0
+            lo, f_lo, hi, f_hi = self.bracket(omega)
+        s_hi = self.evaluate(hi)[1]
         yield lo, hi
-        k1 = 0.2 / (hi - lo)
-        # bound on the bracket width after the next step: RADIUS_TOL 2^m at
-        # least hi - lo, halved each step (eps 2^(n_max - j) with n0 = 1)
-        reach = RADIUS_TOL
-        while reach < hi - lo:
-            reach *= 2.0
+        if lat.n == 3:
+            k1 = 0.2 / (hi - lo)
+            # bound on the bracket width after the next ITP step:
+            # RADIUS_TOL 2^m at least hi - lo, halved each step
+            # (eps 2^(n_max - j) with n0 = 1)
+            reach = RADIUS_TOL
+            while reach < hi - lo:
+                reach *= 2.0
+        last = math.inf  # the Newton step before
         while hi - lo > max(RADIUS_TOL, math.ulp(hi)):
             width = hi - lo
             mid = 0.5 * (lo + hi)
-            falsi = lo - f_lo * width / (f_hi - f_lo)
-            sigma = 1.0 if mid >= falsi else -1.0
-            step = k1 * width * width
-            x = falsi + sigma * step if step <= abs(mid - falsi) else mid
-            # the margin absorbs the rounding of mid and x
-            radius = max(reach - 0.5 * width - 2.0 * math.ulp(hi), 0.0)
-            if abs(x - mid) > radius:
-                x = mid - sigma * radius
+            if lat.n == 2:
+                # Newton from hi: the overlap is convex, so the target
+                # stays above the root, and a target on lo is the root
+                # up to rounding
+                step = f_hi / s_hi if s_hi > 0.0 else math.inf
+                x = hi - step
+                if lo - 0.25 * RADIUS_TOL < x <= lo:
+                    x = lo + 0.5 * RADIUS_TOL
+                elif step > min(0.5 * last, width):
+                    # the step leaves the bracket or fails to halve
+                    x = mid
+                else:
+                    last = step
+                    if step < 0.25 * RADIUS_TOL:
+                        # a probe below the target closes the bracket
+                        x -= 0.5 * RADIUS_TOL
+            else:
+                falsi = lo - f_lo * width / (f_hi - f_lo)
+                sigma = 1.0 if mid >= falsi else -1.0
+                step = k1 * width * width
+                x = falsi + sigma * step if step <= abs(mid - falsi) else mid
+                # the margin absorbs the rounding of mid and x
+                radius = max(reach - 0.5 * width - 2.0 * math.ulp(hi), 0.0)
+                if abs(x - mid) > radius:
+                    x = mid - sigma * radius
+                reach *= 0.5
             if not lo < x < hi:
-                # falsi can round onto an end, whose overlap is known
+                # a step can round onto an end, whose overlap is known
                 x = mid
-            f_x = self.overlap(x) - omega
+            f_x, s_x = self.evaluate(x)
+            f_x -= omega
             if f_x <= 0.0:
                 lo, f_lo = x, f_x
             else:
-                hi, f_hi = x, f_x
-            reach *= 0.5
+                hi, f_hi, s_hi = x, f_x, s_x
             yield lo, hi
+
+
+def density_derivative_2d(delta: float, omega: float) -> float:
+    """d/d delta of density(delta, r(delta, omega)) for 0 < delta < 1.
+
+    r(delta, omega) is the radius at which the volume overlap reaches the
+    budget omega, from the shared inversion max_radius_for_overlap.
+    Three closed-form branches, joined continuously: only the r2
+    segments active, only the r1 segments active, or both.  Vanishes at
+    delta = 1/sqrt(3) (for omega > 0) and at the covering budget;
+    positive below 1/sqrt(3) on the first branch, negative above it on
+    the second.
+    """
+    _check_delta(delta)
+    _check_radius(omega, "omega")
+    if delta >= 1.0:
+        raise OutOfBranchError(f"derivative branches cover 0 < delta < 1, "
+                               f"got {delta}")
+    omega_cov = covering_overlap_2d(delta)
+    if omega > omega_cov:
+        raise OutOfBranchError(
+            f"budget {omega} exceeds the covering budget {omega_cov:.6g} "
+            f"at delta={delta}; r(delta, omega) leaves the branch domain")
+    if omega == 0.0:
+        # r = packing radius; the active-segment count jumps at 1/sqrt(3)
+        if abs(delta - _THIRD) < 1e-12:
+            raise OutOfBranchError(
+                "kink: one-sided derivatives differ at delta = 1/sqrt(3) "
+                "with zero budget")
+        if delta < _THIRD:
+            return math.pi / 2.0
+        return math.pi * (delta * delta - 1.0) / (8.0 * delta * delta)
+
+    rad = critical_radii_2d(delta)
+    r_switch = max(rad.r1, rad.r2)
+    omega_switch = vol_overlap_2d(delta, r_switch)
+    r = max_radius_for_overlap(DistortedLattice(2, delta),
+                               OverlapMeasure.VOLUME_BASED, omega)
+    d2 = delta * delta
+    u = math.sqrt(d2 + 1.0)
+    s = math.sqrt(max(2.0 * r * r - d2, 0.0))
+    t = math.sqrt(max(8.0 * r * r - d2 - 1.0, 0.0))
+    half_t2 = math.acos(min(delta / (_SQRT2 * r), 1.0))
+    half_t1 = math.acos(min(u / (2.0 * _SQRT2 * r), 1.0))
+
+    if omega <= omega_switch:
+        if delta < _THIRD:
+            # r2 < r <= r1: only the two segments at r2 are active
+            return math.pi * s / (2.0 * delta * half_t2)
+        # r1 < r <= r2: only the four segments at r1 are active
+        return math.pi * (d2 - 1.0) * t / (8.0 * d2 * u * half_t1)
+    # both families active up to the vertex radius
+    num = (d2 - 1.0) * t + 2.0 * delta * u * s
+    den = 4.0 * d2 * u * (2.0 * half_t1 + half_t2)
+    return math.pi * num / den
 
 
 def _union_or_nan(lat: DistortedLattice, r: float) -> float:
@@ -557,7 +691,7 @@ def crossover_omega(n: int = 3, delta_a: float = 0.5, delta_b: float = 2.0,
     form; other dimensions have none and raise NoClosedFormError.
 
     Both only read the sign of the difference, so each evaluation steps
-    the two inversions' ITP brackets in turn, always the one whose
+    the two inversions' brackets in turn, always the one whose
     density interval [density(lo), density(hi)] is wider, and stops as
     soon as the two intervals lie more than a margin apart.  Each
     lattice keeps one overlap memo for the call: every radius is

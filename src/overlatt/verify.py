@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 from .lattice import (
     DistortedLattice,
+    _check_int,
     covering_radius,
     packing_radius,
 )
@@ -139,7 +140,7 @@ def _theorem_checks() -> list[CheckResult]:
                 QualityQuery(n=n, mode=QualityMode.COVERING, omega=omega),
                 1.0 / math.sqrt(n + 1.0)))
     for omega in (0.0, 0.05, 0.1, 0.2, 0.5, 1.0):
-        # the objective is itself a root-finding result here (the ITP
+        # the objective is itself a root-finding result here (the
         # inversion of the overlap to 1e-12 in r); 1/sqrt 3 is a
         # breakpoint candidate, so the sharp optima at omega 0.05 to 0.2
         # come out exact, and the bar stays 1e-5 for a peak off it
@@ -237,9 +238,17 @@ def run_suite(suite: str = "all", samples: int = 1_000_000, seed: int = 0,
     the 3 to 5 standard-error band (their names land in ``tolerated``);
     any cell beyond 5 standard errors, or more band cells than the
     allowance, fails the suite outright.
+
+    samples (>= 1), seed (>= 0) and par (>= 1, or None for one thread)
+    are the oracle's, and every suite refuses them unless they are
+    integers in range, the theorems suite too, which draws no samples.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    samples = _check_int("samples", samples, 1)
+    seed = _check_int("seed", seed, 0, 1 << 128)
+    if par is not None:
+        par = _check_int("par", par, 1)
     checks: list[CheckResult] = []
     tolerated: tuple[str, ...] = ()
     if suite in ("all", "theorems"):

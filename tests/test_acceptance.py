@@ -16,7 +16,6 @@ import pytest
 from overlatt.geometry2d import (
     covering_overlap_2d,
     critical_radii_2d,
-    density_derivative_2d,
     vol_overlap_2d,
     voronoi_ball_area,
 )
@@ -42,6 +41,7 @@ from overlatt.quality import (
     QualityMode,
     QualityQuery,
     crossover_omega,
+    density_derivative_2d,
     optimize_delta,
     qual_covering,
     qual_packing,

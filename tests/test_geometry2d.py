@@ -7,10 +7,9 @@ import pytest
 
 from overlatt.geometry2d import (
     CriticalRadii2D,
-    OutOfBranchError,
+    _area_and_slope,
     covering_overlap_2d,
     critical_radii_2d,
-    density_derivative_2d,
     segment_angles,
     vol_overlap_2d,
     voronoi_ball_area,
@@ -18,6 +17,7 @@ from overlatt.geometry2d import (
 )
 from overlatt.lattice import DistortedLattice, covering_radius, packing_radius
 from overlatt.oracle import mc_union
+from overlatt.quality import OutOfBranchError, density_derivative_2d
 
 THIRD = 1.0 / math.sqrt(3.0)
 
@@ -196,6 +196,38 @@ class TestVoronoiBallArea:
         # than the cell area 1e-320
         with pytest.raises(ValueError, match="cell area"):
             voronoi_ball_area(1e-320, 0.3)
+
+
+class TestAreaSlope:
+    """The r-slope of _area_and_slope against central differences of
+    voronoi_ball_area, away from the edge and vertex radii where the
+    slope bends (tests/test_reference.py holds it to 40 digits)."""
+
+    @pytest.mark.parametrize("delta",
+                             [0.1, 0.4, THIRD, 0.8, 1.0, 1.7, 5.0])
+    def test_central_differences(self, delta):
+        rad = critical_radii_2d(min(delta, 1.0 / delta))
+        scale = max(delta, 1.0)
+        kinks = [scale * c for c in (rad.r1, rad.r2, rad.r3)]
+        h = 1e-6
+        checked = 0
+        for r in np.linspace(0.5 * min(kinks), 1.2 * max(kinks), 80):
+            r = float(r)
+            if min(abs(r - k) for k in kinks) < 1e-3:
+                continue
+            area, slope = _area_and_slope(delta, r)
+            assert area == voronoi_ball_area(delta, r)
+            diff = (voronoi_ball_area(delta, r + h)
+                    - voronoi_ball_area(delta, r - h)) / (2.0 * h)
+            assert slope == pytest.approx(diff, rel=1e-7, abs=1e-8)
+            checked += 1
+        assert checked > 60
+
+    def test_slope_is_two_pi_r_inside_and_zero_past_the_cell(self):
+        assert _area_and_slope(1.0, 0.4) == (math.pi * 0.16,
+                                             2.0 * math.pi * 0.4)
+        assert _area_and_slope(0.3, 5.0) == (0.3, 0.0)
+        assert _area_and_slope(2.0, 5.0)[1] == 0.0
 
 
 class TestVolOverlap2D:

@@ -20,7 +20,6 @@ from overlatt.lattice import (
 from overlatt.geometry2d import (
     covering_overlap_2d,
     critical_radii_2d,
-    density_derivative_2d,
     segment_angles,
     vol_overlap_2d,
     voronoi_ball_area,
@@ -40,11 +39,13 @@ from overlatt.quality import (
     QualityMode,
     QualityQuery,
     crossover_omega,
+    density_derivative_2d,
     max_radius_for_overlap,
     optimize_delta,
     qual_covering,
     qual_packing,
 )
+from overlatt.verify import run_suite
 
 TOL = 1e-9
 
@@ -298,6 +299,11 @@ class TestSharedChecks:
         "optimize_delta": ("scan_points", lambda k: optimize_delta(
             QualityQuery(3, QualityMode.COVERING, scan_points=k))),
         "crossover_omega": ("grid", lambda k: crossover_omega(grid=k)),
+        "unit_ball_volume": ("dimension", unit_ball_volume),
+        "run_suite samples": ("samples", lambda k: run_suite(
+            "theorems", samples=k)),
+        "run_suite seed": ("seed", lambda k: run_suite("theorems", seed=k)),
+        "run_suite par": ("par", lambda k: run_suite("theorems", par=k)),
     }
 
     BUDGET_ENTRIES = {

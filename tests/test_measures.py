@@ -18,6 +18,7 @@ from overlatt.measures import (
     MeasureReport,
     NoClosedFormError,
     UndefinedRatioError,
+    _vol_overlap_and_slope,
     density,
     dist_overlap,
     free_space,
@@ -152,6 +153,27 @@ class TestVolOverlap:
             for r in (-0.1, math.nan, math.inf):
                 with pytest.raises(ValueError):
                     vol_overlap(lat, r)
+        for r in (True, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="radius"):
+                _vol_overlap_and_slope(DistortedLattice(2, 0.8), r)
+
+    @pytest.mark.parametrize("delta", (0.2, 0.7, 1.0, 2.5))
+    def test_2d_slope_helper(self, delta):
+        # the value is vol_overlap's bit for bit; the slope is its
+        # central difference, and it never decreases (convex overlap)
+        lat = DistortedLattice(2, delta)
+        pack, cover = packing_radius(lat), covering_radius(lat)
+        h = 1e-6
+        slopes = []
+        for r in np.linspace(0.5 * pack, 1.5 * cover, 41):
+            r = float(r)
+            value, slope = _vol_overlap_and_slope(lat, r)
+            assert value == vol_overlap(lat, r)
+            diff = (vol_overlap(lat, r + h)
+                    - vol_overlap(lat, max(r - h, 0.0))) / (2.0 * h)
+            assert slope == pytest.approx(diff, rel=1e-5, abs=1e-5)
+            slopes.append(slope)
+        assert all(b >= a - 1e-12 for a, b in zip(slopes, slopes[1:]))
 
 
 class TestFreeSpace:

@@ -146,6 +146,13 @@ class TestMaxRadiusForOverlap:
         assert qual_packing(lat, VOL, 0.0).overlap == 0.0
 
 
+def counted_overlap(n: int):
+    """A mock that counts the inversion's overlap evaluations: the 2D
+    overlap-and-slope helper for n = 2, vol_overlap for n = 3."""
+    name = "_vol_overlap_and_slope" if n == 2 else "vol_overlap"
+    return mock.patch.object(quality, name, wraps=getattr(quality, name))
+
+
 class TestVolumeInversionContract:
     @given(n=st.sampled_from((2, 3)),
            log_delta=st.floats(math.log(DELTA_MIN), math.log(DELTA_MAX)),
@@ -157,8 +164,7 @@ class TestVolumeInversionContract:
         # the overlap at the covering radius, where the union reaches 1
         budget = vol_overlap(lat, covering_radius(lat))
         omega = budget * (1.0 + 2.0 * frac) if above_cover else budget * frac
-        with mock.patch.object(quality, "vol_overlap",
-                               wraps=vol_overlap) as counted:
+        with counted_overlap(n) as counted:
             r = max_radius_for_overlap(lat, VOL, omega)
         assert vol_overlap(lat, r) <= omega < vol_overlap(lat, r + RADIUS_TOL)
         assert abs(r - bisection_radius(lat, omega)) <= 2.0 * RADIUS_TOL
@@ -167,9 +173,26 @@ class TestVolumeInversionContract:
         assert counted.call_count <= doubling + bisection + 1
 
     def test_step_overlap_keeps_the_bisection_bound(self):
+        # a step has slope 0 on either side, so Newton never gets a
+        # step and bisection keeps the worst case
+        lat = DistortedLattice(2, 1.0)
+        pack = packing_radius(lat)
+        edge = 1.3 * pack
+
+        def step_overlap(lat, r):
+            return (0.0 if r <= edge else 1e6), 0.0
+
+        with mock.patch.object(quality, "_vol_overlap_and_slope",
+                               side_effect=step_overlap) as counted:
+            r = max_radius_for_overlap(lat, VOL, 0.1)
+        assert edge - RADIUS_TOL <= r <= edge
+        bisection = math.ceil(math.log2(pack / RADIUS_TOL))
+        assert counted.call_count <= 1 + bisection + 1
+
+    def test_step_overlap_keeps_the_bisection_bound_3d(self):
         # on a step, regula falsi crawls from the low end; the projection
         # into the bisection-minmax interval keeps the worst case
-        lat = DistortedLattice(2, 1.0)
+        lat = DistortedLattice(3, 1.0)
         pack = packing_radius(lat)
         edge = 1.3 * pack
 
@@ -184,17 +207,40 @@ class TestVolumeInversionContract:
         assert counted.call_count <= 1 + bisection + 1
 
     def test_smooth_overlap_takes_far_fewer_steps_than_bisection(self):
-        # bisection of these brackets takes 39-40 steps each
-        steps = []
-        for n, delta, omega in ((2, 0.8, 0.3), (2, 3.0, 0.1),
-                                (3, 0.5, 0.2), (3, 2.0, 0.05)):
+        # bisection of these brackets takes 39-40 steps each; Newton on
+        # the exact 2D slope takes at most 10, ITP at most 20 in 3D
+        for n, delta, omega, bound in (
+                (2, 0.8, 0.3, 10), (2, 3.0, 0.1, 10), (2, 0.4, 0.05, 10),
+                (2, 1.0, 0.5, 10), (3, 0.5, 0.2, 20), (3, 2.0, 0.05, 20)):
             lat = DistortedLattice(n, delta)
             _, _, doubling = doubled_bracket(lat, omega)
-            with mock.patch.object(quality, "vol_overlap",
-                                   wraps=vol_overlap) as counted:
+            with counted_overlap(n) as counted:
                 max_radius_for_overlap(lat, VOL, omega)
-            steps.append(counted.call_count - doubling)
-        assert max(steps) <= 20
+            assert counted.call_count - doubling <= bound, (n, delta, omega)
+
+    def test_overlap_evaluation_budget(self):
+        # a deterministic cost guard: the theorems pass evaluates the 2D
+        # overlap 3,459 times under ITP and 1,862 times with Newton
+        # steps; the 272 3D evaluations go through vol_overlap
+        with counted_overlap(2) as flat, counted_overlap(3) as solid:
+            assert run_suite("theorems").passed
+        assert flat.call_count <= 2400
+        assert solid.call_count == 272
+        assert all(args[0].n == 3 for args, _ in solid.call_args_list)
+
+    def test_past_the_covering_overlap_the_root_is_closed_form(self):
+        # the bracket is the two floats around (delta (1 + omega) /
+        # V_n)^(1/n), found in a few evaluations and no doubling
+        for n, delta in ((2, 0.3), (2, 1.0), (2, 7.0), (3, 0.5), (3, 2.0)):
+            lat = DistortedLattice(n, delta)
+            omega = 1.5 * vol_overlap(lat, covering_radius(lat))
+            with counted_overlap(n) as counted:
+                r = max_radius_for_overlap(lat, VOL, omega)
+            assert counted.call_count <= 4
+            assert vol_overlap(lat, r) <= omega
+            assert vol_overlap(lat, math.nextafter(r, math.inf)) > omega
+            root = (delta * (1.0 + omega) / unit_ball_volume(n)) ** (1.0 / n)
+            assert r == pytest.approx(root, rel=1e-15)
 
 
 class TestQualPacking:
@@ -737,11 +783,14 @@ class TestOverlapBrackets:
             prev_lo, prev_hi = lo, hi
         assert brackets[-1][0] == max_radius_for_overlap(lat, VOL, omega)
 
-    # the radii as the memo-less inversion gave them: an empty memo's
-    # start bracket (pack, -omega, inf, inf) is the one that inversion
-    # set by hand, so no bit may change
+    # the radii of a fresh inversion, so that no bit changes unseen: the
+    # 3D ones as the memo-less ITP inversion gave them, the 2D ones as
+    # the Newton steps give them (0.4: 5.0e-13 below the 40-digit root,
+    # 3.0e-13 above the ITP radius); omega 1e9 lies past the covering
+    # overlap, where the closed-form start gives the largest float
+    # within budget, the ITP radius too
     PINNED = {
-        (2, 0.4, 0.05): "0x1.4f70e3275f1a2p-2",
+        (2, 0.4, 0.05): "0x1.4f70e327606fep-2",
         (2, 1.0, 1e9): "0x1.16c4f6f562d16p+14",
         (3, 0.5, 0.2): "0x1.0ac380ec7d45bp-1",
         (3, 1.805, 0.00687): "0x1.62cf26648ac56p-1",
@@ -818,7 +867,18 @@ class TestOverlapMemo:
         lat = DistortedLattice(2, 0.4)
         omega = 0.05
         r_star = max_radius_for_overlap(lat, VOL, omega)
-        past = r_star + 0.75 * RADIUS_TOL
+        # the largest float within budget, bisected from the final
+        # bracket of a fresh inversion
+        lo, hi = list(quality._OverlapMemo(lat).brackets(omega))[-1]
+        assert lo == r_star
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if vol_overlap(lat, mid) <= omega:
+                lo = mid
+            else:
+                hi = mid
+        past = lo
+        assert past > r_star
         memo = quality._OverlapMemo(lat)
         assert memo.overlap(past) <= omega
         reported = qual_packing(lat, VOL, omega).density

@@ -1,4 +1,5 @@
-"""The closed-form cell-ball volumes against the 40-digit reference.
+"""The closed-form cell-ball volumes, and the r-slope of the 2D area,
+against the 40-digit reference.
 
 Grid: deltas log-uniform in [0.05, 20] (the optimizer's domain) with its
 ends, plus each branch boundary and its neighbours at +-1e-9 and +-1e-8
@@ -15,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from overlatt.geometry2d import voronoi_ball_area
+from overlatt.geometry2d import _area_and_slope, voronoi_ball_area
 from overlatt.geometry3d import voronoi_ball_volume_3d
 from overlatt.lattice import DistortedLattice, covering_radius, packing_radius
 
@@ -26,6 +27,11 @@ from reference import mp, mpf
 # below, just above the largest seen; the 3D inclusion-exclusion loses
 # digits where a cap pair or triple has just come into play
 AREA_REL_TOL = 1.5e-15
+# bounds on the error of the 2D r-slope relative to 2 pi r, the slope of
+# the ball: just past an edge distance the segment angle acos(r_i / r)
+# turns the rounding of r_i / r into an error of about 1e-11
+SLOPE_TOL = 5e-15
+SLOPE_NEAR_TOL = 1.5e-11
 VOLUME_REL_TOL = 2.5e-13
 VOLUME_NEAR_REL_TOL = 3e-10
 
@@ -111,6 +117,21 @@ def test_voronoi_ball_area_matches_reference():
     for err, delta, r in _worst(2, DELTAS_2D, _critical_2d,
                                 voronoi_ball_area, reference.area_2d):
         assert err <= AREA_REL_TOL, f"{err} at delta={delta!r}, r={r!r}"
+
+
+def test_area_slope_matches_reference_derivative():
+    worst = []
+    for delta in DELTAS_2D:
+        tiers = _radii(_critical_2d(delta),
+                       packing_radius(DistortedLattice(2, delta)))
+        worst.append([max(
+            (abs(mpf(_area_and_slope(delta, r)[1]) - mp.diff(
+                lambda x: reference.area_2d(delta, x), mpf(r)))
+             / (2 * mp.pi * r), delta, r) for r in tier) for tier in tiers])
+    generic, near = (max(tier) for tier in zip(*worst))
+    for (err, delta, r), bound in ((generic, SLOPE_TOL),
+                                   (near, SLOPE_NEAR_TOL)):
+        assert err <= bound, f"{err} at delta={delta!r}, r={r!r}"
 
 
 def test_voronoi_ball_volume_3d_matches_reference():

@@ -44,6 +44,20 @@ class TestSuites:
         with pytest.raises(ValueError):
             run_suite("bogus")
 
+    @pytest.mark.parametrize("suite", ("theorems", "oracle", "all"))
+    @pytest.mark.parametrize("name, value, message", (
+        ("samples", 0, "samples must be >= 1"),
+        ("seed", -5, "seed must be in [0, "),
+        ("par", 0, "par must be >= 1"),
+        ("par", 1.0, "par must be an integer"),
+    ))
+    def test_sampling_arguments_are_checked(self, suite, name, value,
+                                            message):
+        # every suite refuses them before it runs a check, the theorems
+        # suite too, which draws no samples
+        with pytest.raises(ValueError, match=message.replace("[", r"\[")):
+            run_suite(suite, **{name: value})
+
     def test_report_serializes(self):
         rep = run_suite("theorems")
         text = json.dumps(rep.as_dict())
