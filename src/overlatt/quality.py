@@ -128,15 +128,13 @@ class OptimizeResult(NamedTuple):
     """Optimum of a quality query over delta.
 
     `ties` lists every distinct optimal delta found (the optimum can be
-    genuinely non-unique).  When the objective is flat at its optimum
-    over whole intervals, `plateau` is set and `plateau_ranges` holds
-    the refined intervals; delta_star is then the midpoint of the widest
-    one.  A plateau edge is where the objective leaves the TIE_TOL band
-    below the best value, bisected to 1e-9.  The objective meets its
-    plateau value so flatly that this band reaches past the true edge of
-    the plateau, by up to about 1.6e-3 in delta (the volume measure at
-    omega 0.5: [0.420377, 0.585955] in 3D against the exact [0.421781,
-    0.584323]).
+    genuinely non-unique).  Volume-measure packing is flat at its
+    optimum wherever the budget covers space: on the sublevel set of the
+    covering density, {delta : covering density <= 1 + omega}, at most
+    two intervals (one on each side of delta = 1).  Those wider than
+    DEDUPE_TOL set `plateau` and are listed in `plateau_ranges`, each
+    edge on the last float inside the set, and their midpoints are the
+    ties; delta_star is the midpoint of the widest one.
     """
 
     delta_star: float
@@ -208,6 +206,12 @@ def max_radius_for_overlap(lat: DistortedLattice,
     for lo, _ in _OverlapMemo(lat).brackets(omega):
         pass
     return lo
+
+
+def _covering_overlap(lat: DistortedLattice) -> float:
+    # the least volume budget whose inverted radius reaches the covering
+    # radius; past it the union is 1, so the overlap is density - 1
+    return _density(lat, covering_radius(lat)) - 1.0
 
 
 class _OverlapMemo:
@@ -282,7 +286,7 @@ class _OverlapMemo:
                 f"union of n = 2 or 3, got n = {lat.n}")
         lo, f_lo, hi, f_hi = self.bracket(omega)
         if hi == math.inf:
-            if _density(lat, covering_radius(lat)) - 1.0 <= omega:
+            if _covering_overlap(lat) <= omega:
                 # past the covering radius the overlap is density - 1:
                 # step from its root to the float where f changes sign
                 r = (lat.delta * (1.0 + omega)
@@ -495,33 +499,12 @@ def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def _bisect_edge(f, inside: float, outside: float, level: float) -> float:
-    """Point where f crosses below `level` between an inside and an
-    outside sample.  Works for either edge orientation."""
-    for _ in range(60):
-        mid = 0.5 * (inside + outside)
-        if f(mid) >= level:
-            inside = mid
-        else:
-            outside = mid
-        if abs(inside - outside) < 1e-9:
-            break
-    return inside
-
-
-def _contiguous_runs(indices: list[int]) -> list[list[int]]:
-    runs: list[list[int]] = []
-    for i in indices:
-        if runs and i == runs[-1][-1] + 1:
-            runs[-1].append(i)
-        else:
-            runs.append([i])
-    return runs
-
-
 def _breakpoints(n: int) -> tuple[float, float, float]:
     """Deltas where the objective changes branch: packing_radius at
-    1/sqrt(n+1) and sqrt(n+1), covering_radius and the 3D catalog at 1."""
+    1/sqrt(n+1) and sqrt(n+1), covering_radius and the 3D catalog at 1.
+    The outer two are also the covering density's minima on either side
+    of 1, where alone its log-derivative vanishes (3D, delta <= 1:
+    40 d^4 + 22 d^2 - 8 = 0, so d = 1/2)."""
     return (1.0 / math.sqrt(n + 1.0), 1.0, math.sqrt(n + 1.0))
 
 
@@ -541,83 +524,120 @@ def _validate_query(query: QualityQuery):
         raise ValueError(f"unknown mode {query.mode!r}")
 
 
+def _distinct(deltas) -> tuple[float, ...]:
+    """The deltas in order, less any within DEDUPE_TOL of the last kept."""
+    out: list[float] = []
+    for d in sorted(deltas):
+        if not out or d - out[-1] > DEDUPE_TOL:
+            out.append(d)
+    return tuple(out)
+
+
+def _plateau_optimum(query: QualityQuery) -> OptimizeResult | None:
+    """The optimum of volume-measure packing (n = 2, 3) wherever its
+    budget covers space in delta_range; None for any other query.
+
+    On P = {delta : covering density <= 1 + omega} the inverted radius
+    reaches the covering radius, so the density is 1 + omega, against
+    omega + union < 1 + omega at every delta outside P.  The covering
+    density falls to one minimum on each side of delta = 1, at that
+    side's breakpoint, so P holds at most one piece per side, around the
+    breakpoint clamped into the side.  Each edge is bisected outward
+    from there to the last float inside, and pieces that both reach 1
+    join there.  A piece narrower than DEDUPE_TOL is a point tie at its
+    breakpoint.
+    """
+    if (query.mode is not QualityMode.PACKING
+            or query.measure is not OverlapMeasure.VOLUME_BASED
+            or query.n > 3):
+        return None
+
+    def flat(delta: float) -> bool:
+        lat = DistortedLattice(query.n, delta)
+        return _covering_overlap(lat) <= query.omega
+
+    def edge(inside: float, outside: float) -> float:
+        if flat(outside):
+            return outside
+        while True:
+            mid = 0.5 * (inside + outside)
+            if mid == inside or mid == outside:
+                return inside
+            inside, outside = (mid, outside) if flat(mid) else (inside, mid)
+
+    lo, hi = query.delta_range
+    below, one, above = _breakpoints(query.n)
+    pieces: list[tuple[float, float, float]] = []  # left, right, breakpoint
+    for a, b, k in ((lo, min(hi, one), below), (max(lo, one), hi, above)):
+        k = min(max(k, a), b)
+        if a > b or not flat(k):
+            continue
+        left, right = edge(k, a), edge(k, b)
+        if pieces and pieces[-1][1] == left:
+            pieces[-1] = (pieces[-1][0], right, pieces[-1][2])
+        else:
+            pieces.append((left, right, k))
+    if not pieces:
+        return None
+    ranges = tuple((a, b) for a, b, _ in pieces if b - a > DEDUPE_TOL)
+    ties = _distinct(0.5 * (a + b) if b - a > DEDUPE_TOL else k
+                     for a, b, k in pieces)
+    widest = max(ranges, key=lambda rg: rg[1] - rg[0], default=None)
+    delta_star = 0.5 * (widest[0] + widest[1]) if widest else ties[0]
+    return OptimizeResult(delta_star, _evaluate(query, delta_star), ties,
+                          bool(ranges), ranges)
+
+
 def optimize_delta(query: QualityQuery) -> OptimizeResult:
     """Best delta for the query: max density (packing) or min (covering).
 
-    The objective changes branch at three breakpoints, 1/sqrt(n+1), 1
-    and sqrt(n+1), and its optima sit at them more often than not (the
-    hexagonal lattice, FCC and BCC).  A log-spaced scan of
-    `scan_points` deltas, with every breakpoint inside `delta_range`
-    added, brackets the optima; each breakpoint is also an exact
-    candidate.  Each local maximum of the scan is golden-section refined
-    over its two neighbours to |d delta| < 1e-11, except at a breakpoint
-    k whose objective is not exceeded at k - 1e-6 or k + 1e-6
-    (DEDUPE_TOL; probed where inside the bracket): k is the peak there.
-    A refined candidate that does not beat a breakpoint inside its
-    bracket by more than 1e-9 is reported as the breakpoint itself, so
-    an optimum at a kink comes out exact rather than refined down to
-    noise.  Skipping a breakpoint's refinement reports what refining
-    and snapping would, given two conditions: the objective is unimodal
-    on the bracket, as golden section assumes anyway, so the peak lies
-    within 1e-6 of k; and each branch has |f''| < 2 TIE_TOL /
-    DEDUPE_TOL^2 = 2000 there, so the peak beats f(k) by at most 1e-9
-    and the snap rule would report k.
+    Volume-measure packing in 2D and 3D whose budget covers space
+    somewhere in delta_range is flat at its optimum, and that optimum is
+    read off the closed-form covering density (_plateau_optimum).
 
-    All deltas whose objective ties the best within 1e-9 are reported,
-    collapsed when closer than 1e-6.  Runs of three or more tied scan
-    points mark a genuinely flat optimum; those are returned as plateau
-    intervals with bisection-refined edges instead of single points.
+    Every other query is scanned.  The objective changes branch at three
+    breakpoints, 1/sqrt(n+1), 1 and sqrt(n+1), and its optima sit at
+    them more often than not (the hexagonal lattice, FCC and BCC).  A
+    log-spaced scan of `scan_points` deltas, with every breakpoint
+    inside `delta_range` added, brackets the optima; each breakpoint is
+    also an exact candidate.  Each local maximum of the scan is
+    golden-section refined over its two neighbours to |d delta| < 1e-11,
+    except at a breakpoint k whose objective is not exceeded at k - 1e-6
+    or k + 1e-6 (DEDUPE_TOL; probed where inside the bracket): k is the
+    peak there.  A refined candidate that does not beat a breakpoint
+    inside its bracket by more than 1e-9 is reported as the breakpoint
+    itself, so an optimum at a kink comes out exact rather than refined
+    down to noise.  Skipping a breakpoint's refinement reports what
+    refining and snapping would, given two conditions: the objective is
+    unimodal on the bracket, as golden section assumes anyway, so the
+    peak lies within 1e-6 of k; and each branch has |f''| < 2 TIE_TOL /
+    DEDUPE_TOL^2 = 2000 there, so the peak beats f(k) by at most 1e-9
+    and the snap rule would report k.  All deltas whose objective ties
+    the best within 1e-9 are reported, collapsed when closer than 1e-6.
 
     Covering and the distance measure work in any dimension n >= 2; the
     volume measure needs the closed forms of n = 2 and 3.
     """
     _validate_query(query)
+    m = _check_int("scan_points", query.scan_points, 2)
+    res = _plateau_optimum(query)
+    if res is not None:
+        return res
     lo, hi = query.delta_range
     f = lambda d: _objective(query, d)
-    m = _check_int("scan_points", query.scan_points, 2)
     kinks = [b for b in _breakpoints(query.n) if lo <= b <= hi]
     xs = sorted({lo, hi, *kinks,
                  *(lo * (hi / lo) ** (i / (m - 1)) for i in range(1, m - 1))})
     fs = [f(x) for x in xs]
-    vmax = max(fs)
     kink_at = {b: xs.index(b) for b in kinks}
 
-    near = [i for i, v in enumerate(fs) if v >= vmax - TIE_TOL]
-    runs = _contiguous_runs(near)
-    plateau_mode = any(len(run) >= 3 for run in runs)
-
-    candidates: list[tuple[float, float]] = []  # (delta, objective)
-    refined: list[tuple[float, float, float, float]] = []  # bracket, peak
-    plateaus: list[tuple[float, float, float]] = []  # edges, midpoint value
-
-    if plateau_mode:
-        for run in runs:
-            i0, i1 = run[0], run[-1]
-            left = xs[i0] if i0 == 0 else _bisect_edge(
-                f, xs[i0], xs[i0 - 1], vmax - TIE_TOL)
-            right = xs[i1] if i1 == len(xs) - 1 else _bisect_edge(
-                f, xs[i1], xs[i1 + 1], vmax - TIE_TOL)
-            if right - left > DEDUPE_TOL:
-                mid = 0.5 * (left + right)
-                fmid = f(mid)
-                plateaus.append((left, right, fmid))
-                candidates.append((mid, fmid))
-            else:
-                # a near-max run too narrow to be flat is a point peak
-                a = xs[max(i0 - 1, 0)]
-                b = xs[min(i1 + 1, len(xs) - 1)]
-                refined.append((a, b, *_golden_max(f, a, b,
-                                                   DELTA_REFINE_TOL)))
-
-    # refine every local maximum of the scan; a tied peak elsewhere can
-    # sit below the scan maximum at grid resolution and still refine to
-    # the same value.  A breakpoint that no probe DEDUPE_TOL away
-    # exceeds is the peak the refinement would snap back to, and it is
-    # a candidate already
-    plateau_idx = {i for run in runs for i in run} if plateau_mode else set()
+    # (delta, objective): every breakpoint, and every local maximum of
+    # the scan refined; a tied peak elsewhere can sit below the scan
+    # maximum at grid resolution and still refine to the same value.  A
+    # breakpoint that no probe DEDUPE_TOL away exceeds is the peak the
+    # refinement would snap back to, and it is a candidate already
+    candidates = [(k, fs[i]) for k, i in kink_at.items()]
     for i in range(len(xs)):
-        if i in plateau_idx:
-            continue
         left_ok = i == 0 or fs[i] >= fs[i - 1]
         right_ok = i == len(xs) - 1 or fs[i] >= fs[i + 1]
         if left_ok and right_ok:
@@ -627,41 +647,20 @@ def optimize_delta(query: QualityQuery) -> OptimizeResult:
             if xs[i] in kink_at and all(f(x) <= fs[i]
                                         for x in probes if a < x < b):
                 continue
-            refined.append((a, b, *_golden_max(f, a, b, DELTA_REFINE_TOL)))
-
-    # a refinement that does not beat a breakpoint in its bracket by more
-    # than TIE_TOL reports the breakpoint: at a blunt kink the golden point
-    # can settle on noise more than DEDUPE_TOL away and count as a second
-    # tie
-    for a, b, d, v in refined:
-        snap = [(k, fs[i]) for k, i in kink_at.items()
-                if a <= k <= b and v <= fs[i] + TIE_TOL]
-        candidates.append(snap[0] if snap else (d, v))
-    # a breakpoint inside a plateau is represented by that plateau
-    candidates.extend((k, fs[i]) for k, i in kink_at.items()
-                      if i not in plateau_idx)
+            d, v = _golden_max(f, a, b, DELTA_REFINE_TOL)
+            # a refinement that does not beat a breakpoint in its
+            # bracket by more than TIE_TOL reports the breakpoint: at a
+            # blunt kink the golden point can settle on noise more than
+            # DEDUPE_TOL away and count as a second tie
+            snap = [(k, fs[j]) for k, j in kink_at.items()
+                    if a <= k <= b and v <= fs[j] + TIE_TOL]
+            candidates.append(snap[0] if snap else (d, v))
 
     best = max(v for _, v in candidates)
-    tied = sorted(d for d, v in candidates if v >= best - TIE_TOL)
-    ties: list[float] = []
-    for d in tied:
-        if not ties or d - ties[-1] > DEDUPE_TOL:
-            ties.append(d)
-
-    ranges = [(a, b) for a, b, v in plateaus if v >= best - TIE_TOL]
-    if ranges:
-        widest = max(ranges, key=lambda rg: rg[1] - rg[0])
-        delta_star = 0.5 * (widest[0] + widest[1])
-    else:
-        delta_star = max((dv for dv in candidates if dv[1] >= best - TIE_TOL),
-                         key=lambda dv: (dv[1], -dv[0]))[0]
-    return OptimizeResult(
-        delta_star=delta_star,
-        result=_evaluate(query, delta_star),
-        ties=tuple(ties),
-        plateau=bool(ranges),
-        plateau_ranges=tuple(ranges),
-    )
+    tied = [dv for dv in candidates if dv[1] >= best - TIE_TOL]
+    delta_star = max(tied, key=lambda dv: (dv[1], -dv[0]))[0]
+    return OptimizeResult(delta_star, _evaluate(query, delta_star),
+                          _distinct(d for d, _ in tied), False, ())
 
 
 def _packing_density_bounds(memo: _OverlapMemo, omega: float):

@@ -197,35 +197,37 @@ def _excursion_allowance(cells: int) -> int:
     return max(2, math.ceil(mu + 4.0 * math.sqrt(mu)))
 
 
-def _oracle_checks(samples: int, seed: int,
+def _oracle_cells() -> list[tuple[DistortedLattice, str, float]]:
+    """The oracle suite's (lattice, placement, radius) cells, in order."""
+    return [(lat, tag, r)
+            for n, deltas in ((2, GRID_DELTAS_2D), (3, GRID_DELTAS_3D))
+            for lat in (DistortedLattice(n, delta) for delta in deltas)
+            for tag, r in grid_radii(lat)]
+
+
+def _oracle_checks(cells, samples: int, seed: int,
                    par: int | None) -> tuple[list[CheckResult], list[str]]:
     checks: list[CheckResult] = []
     tolerable: list[str] = []
-    case = 0
-    for n, deltas in ((2, GRID_DELTAS_2D), (3, GRID_DELTAS_3D)):
-        for delta in deltas:
-            lat = DistortedLattice(n, delta)
-            for tag, r in grid_radii(lat):
-                closed = union_fraction(lat, r)
-                est = mc_union(lat, r, samples=samples,
-                               seed=seed + case, par=par)
-                case += 1
-                # the empirical standard error vanishes when every
-                # sample lands covered; fall back to the binomial
-                # error implied by the closed-form probability
-                sigma = max(est.std_error, math.sqrt(
-                    max(closed * (1.0 - closed), 0.0) / samples))
-                bound = 3.0 * sigma + 1e-15
-                diff = abs(closed - est.mean)
-                name = f"oracle union n={n} delta={delta:.10g} r={tag}"
-                if bound < diff <= 5.0 * sigma + 1e-15:
-                    tolerable.append(name)
-                checks.append(CheckResult(
-                    name=name,
-                    passed=diff <= bound,
-                    observed=f"closed={closed:.9g} mc={est.mean:.9g} "
-                             f"diff={diff:.3g}",
-                    expected=f"|diff| <= {bound:.3g} (3 se at {samples})"))
+    for case, (lat, tag, r) in enumerate(cells):
+        closed = union_fraction(lat, r)
+        est = mc_union(lat, r, samples=samples, seed=seed + case, par=par)
+        # the empirical standard error vanishes when every sample lands
+        # covered; fall back to the binomial error implied by the
+        # closed-form probability
+        sigma = max(est.std_error, math.sqrt(
+            max(closed * (1.0 - closed), 0.0) / samples))
+        bound = 3.0 * sigma + 1e-15
+        diff = abs(closed - est.mean)
+        name = f"oracle union n={lat.n} delta={lat.delta:.10g} r={tag}"
+        if bound < diff <= 5.0 * sigma + 1e-15:
+            tolerable.append(name)
+        checks.append(CheckResult(
+            name=name,
+            passed=diff <= bound,
+            observed=f"closed={closed:.9g} mc={est.mean:.9g} "
+                     f"diff={diff:.3g}",
+            expected=f"|diff| <= {bound:.3g} (3 se at {samples})"))
     return checks, tolerable
 
 
@@ -242,11 +244,14 @@ def run_suite(suite: str = "all", samples: int = 1_000_000, seed: int = 0,
     samples (>= 1), seed (>= 0) and par (>= 1, or None for one thread)
     are the oracle's, and every suite refuses them unless they are
     integers in range, the theorems suite too, which draws no samples.
+    Oracle cell i draws from seed + i, so a suite that runs the oracle
+    refuses a seed within its cell count of 2^128, Philox's key range.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     samples = _check_int("samples", samples, 1)
-    seed = _check_int("seed", seed, 0, 1 << 128)
+    cells = _oracle_cells() if suite in ("all", "oracle") else []
+    seed = _check_int("seed", seed, 0, (1 << 128) - max(len(cells) - 1, 0))
     if par is not None:
         par = _check_int("par", par, 1)
     checks: list[CheckResult] = []
@@ -254,7 +259,7 @@ def run_suite(suite: str = "all", samples: int = 1_000_000, seed: int = 0,
     if suite in ("all", "theorems"):
         checks.extend(_theorem_checks())
     if suite in ("all", "oracle"):
-        oracle, tolerable = _oracle_checks(samples, seed, par)
+        oracle, tolerable = _oracle_checks(cells, samples, seed, par)
         checks.extend(oracle)
         if len(tolerable) <= _excursion_allowance(len(oracle)):
             tolerated = tuple(tolerable)

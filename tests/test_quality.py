@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from overlatt import measures, quality
+from overlatt.geometry2d import covering_overlap_2d
 from overlatt.geometry3d import voronoi_ball_volume_3d
 from overlatt.lattice import (
     DELTA_MAX,
@@ -39,6 +40,9 @@ from overlatt.quality import (
     qual_packing,
 )
 from overlatt.verify import run_suite
+
+import reference
+from reference import mp, mpf
 
 DIST = OverlapMeasure.DISTANCE_BASED
 VOL = OverlapMeasure.VOLUME_BASED
@@ -404,7 +408,7 @@ class TestOptimizeDelta:
         for edge in (left, right):
             omega_cov = (math.pi * (edge ** 2 + 1.0) ** 2 / (8.0 * edge)
                          - 1.0)
-            assert omega_cov == pytest.approx(0.5, abs=1e-3)
+            assert omega_cov == pytest.approx(0.5, rel=1e-12)
 
     def test_argmax_independent_of_omega(self):
         stars = []
@@ -539,9 +543,12 @@ class TestOptimizeDeltaBreakpoints:
 
 
 def refine_every_maximum(query):
-    """Reference optimize_delta: the same scan, plateau path and snap
-    rule, with every local maximum of the scan golden-section refined,
-    breakpoints included."""
+    """Reference optimize_delta: the same closed-form plateau path, then
+    the same scan and snap rule, with every local maximum of the scan
+    golden-section refined, breakpoints included."""
+    res = quality._plateau_optimum(query)
+    if res is not None:
+        return res
     TIE_TOL, DEDUPE_TOL = quality.TIE_TOL, quality.DEDUPE_TOL
     lo, hi = query.delta_range
     f = lambda d: quality._objective(query, d)
@@ -550,58 +557,27 @@ def refine_every_maximum(query):
     xs = sorted({lo, hi, *kinks,
                  *(lo * (hi / lo) ** (i / (m - 1)) for i in range(1, m - 1))})
     fs = [f(x) for x in xs]
-    vmax = max(fs)
     kink_at = {b: xs.index(b) for b in kinks}
-    runs = quality._contiguous_runs(
-        [i for i, v in enumerate(fs) if v >= vmax - TIE_TOL])
-    plateau_mode = any(len(run) >= 3 for run in runs)
 
-    def refine(a, b):
-        return (a, b, *quality._golden_max(f, a, b, quality.DELTA_REFINE_TOL))
-
-    candidates, refined, plateaus = [], [], []
-    if plateau_mode:
-        for run in runs:
-            i0, i1 = run[0], run[-1]
-            left = xs[i0] if i0 == 0 else quality._bisect_edge(
-                f, xs[i0], xs[i0 - 1], vmax - TIE_TOL)
-            right = xs[i1] if i1 == len(xs) - 1 else quality._bisect_edge(
-                f, xs[i1], xs[i1 + 1], vmax - TIE_TOL)
-            if right - left > DEDUPE_TOL:
-                mid = 0.5 * (left + right)
-                plateaus.append((left, right, f(mid)))
-                candidates.append((mid, plateaus[-1][2]))
-            else:
-                refined.append(refine(xs[max(i0 - 1, 0)],
-                                      xs[min(i1 + 1, len(xs) - 1)]))
-    plateau_idx = {i for run in runs for i in run} if plateau_mode else set()
+    candidates = [(k, fs[i]) for k, i in kink_at.items()]
     for i in range(len(xs)):
-        if i not in plateau_idx \
-                and (i == 0 or fs[i] >= fs[i - 1]) \
+        if (i == 0 or fs[i] >= fs[i - 1]) \
                 and (i == len(xs) - 1 or fs[i] >= fs[i + 1]):
-            refined.append(refine(xs[max(i - 1, 0)],
-                                  xs[min(i + 1, len(xs) - 1)]))
-    for a, b, d, v in refined:
-        snap = [(k, fs[i]) for k, i in kink_at.items()
-                if a <= k <= b and v <= fs[i] + TIE_TOL]
-        candidates.append(snap[0] if snap else (d, v))
-    candidates.extend((k, fs[i]) for k, i in kink_at.items()
-                      if i not in plateau_idx)
+            a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+            d, v = quality._golden_max(f, a, b, quality.DELTA_REFINE_TOL)
+            snap = [(k, fs[j]) for k, j in kink_at.items()
+                    if a <= k <= b and v <= fs[j] + TIE_TOL]
+            candidates.append(snap[0] if snap else (d, v))
 
     best = max(v for _, v in candidates)
     ties = []
     for d in sorted(d for d, v in candidates if v >= best - TIE_TOL):
         if not ties or d - ties[-1] > DEDUPE_TOL:
             ties.append(d)
-    ranges = [(a, b) for a, b, v in plateaus if v >= best - TIE_TOL]
-    if ranges:
-        widest = max(ranges, key=lambda rg: rg[1] - rg[0])
-        delta_star = 0.5 * (widest[0] + widest[1])
-    else:
-        delta_star = max((dv for dv in candidates if dv[1] >= best - TIE_TOL),
-                         key=lambda dv: (dv[1], -dv[0]))[0]
+    delta_star = max((dv for dv in candidates if dv[1] >= best - TIE_TOL),
+                     key=lambda dv: (dv[1], -dv[0]))[0]
     return OptimizeResult(delta_star, quality._evaluate(query, delta_star),
-                          tuple(ties), bool(ranges), tuple(ranges))
+                          tuple(ties), False, ())
 
 
 def _equivalence_queries():
@@ -632,7 +608,9 @@ class TestOptimizeDeltaSkipsBreakpointRefinement:
 
     def test_objective_call_budget(self, monkeypatch):
         # a deterministic cost guard: refining every scan maximum takes
-        # 5,252 objective evaluations per theorems pass, the probes 1,836
+        # 5,252 objective evaluations per theorems pass, the probes 1,836,
+        # and the closed-form plateaus 1,676 (no scan on the two 2D
+        # plateau queries)
         calls = []
         objective = quality._objective
 
@@ -642,7 +620,7 @@ class TestOptimizeDeltaSkipsBreakpointRefinement:
 
         monkeypatch.setattr(quality, "_objective", counted)
         assert run_suite("theorems").passed
-        assert len(calls) <= 2000
+        assert len(calls) <= 1700
 
     @staticmethod
     def optimize_synthetic(monkeypatch, peak):
@@ -675,6 +653,64 @@ class TestOptimizeDeltaSkipsBreakpointRefinement:
         assert golden == []
         assert res.delta_star == SQRT3
         assert res.ties == (SQRT3,)
+
+
+# the least covering overlap, at the hexagonal lattice and at BCC: the
+# volume-measure optimum is flat for every budget above it
+FLAT = {2: covering_overlap_2d(1.0 / SQRT3), 3: BCC_COVER_DENSITY - 1.0}
+
+
+def covering_density_40(n, delta):
+    """Covering density of L_delta to 40 digits: the covering radius is
+    the 2D vertex radius (delta > 1 by the mirror delta R(1/delta)) and
+    the largest vertex norm of the 3D cell."""
+    if n == 2:
+        radius = (reference._radii_2d(delta)[2] if delta <= 1
+                  else delta * reference._radii_2d(1 / delta)[2])
+        return mp.pi * radius ** 2 / delta
+    radius = max(mp.sqrt(a * a + h * h + k * k)
+                 for a, h, k, _ in reference.cell_3d(delta))
+    return 4 * mp.pi * radius ** 3 / (3 * delta)
+
+
+class TestPlateaus:
+    """Volume-measure packing is flat at its optimum on {delta :
+    covering density <= 1 + omega}, read off the closed form."""
+
+    @pytest.mark.parametrize("n", (2, 3))
+    @pytest.mark.parametrize("excess", (1e-6, 1e-4, 1e-3, 0.02, 0.3))
+    def test_reported_above_the_least_covering_overlap(self, monkeypatch,
+                                                       n, excess):
+        calls = []
+        objective = quality._objective
+        monkeypatch.setattr(quality, "_objective", lambda query, d: (
+            calls.append(d) or objective(query, d)))
+        omega = FLAT[n] + excess
+        res = optimize_delta(_pack(n, VOL, omega))
+        assert res.plateau
+        assert any(lo < 1.0 / math.sqrt(n + 1.0) < hi
+                   for lo, hi in res.plateau_ranges), res
+        assert res.result.delta == res.delta_star
+        assert res.result.density == pytest.approx(1.0 + omega, abs=1e-9)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_none_below_the_least_covering_overlap(self, n):
+        res = optimize_delta(_pack(n, VOL, FLAT[n] - 1e-9))
+        assert not res.plateau
+        assert res.plateau_ranges == ()
+
+    @pytest.mark.parametrize("n", (2, 3))
+    @pytest.mark.parametrize("omega", (0.5, 1.0))
+    def test_edges_match_the_40_digit_root(self, n, omega):
+        res = optimize_delta(_pack(n, VOL, omega))
+        edges = [edge for rg in res.plateau_ranges for edge in rg]
+        assert edges and not {DELTA_MIN, DELTA_MAX} & set(edges)
+        for edge in edges:
+            root = mp.findroot(
+                lambda d: covering_density_40(n, d) - 1 - mpf(omega),
+                mpf(edge))
+            assert abs(edge - root) <= 1e-12 * root, (edge, root)
 
 
 def full_crossover(n=3, delta_a=0.5, delta_b=2.0, omega_hi=0.5, tol=1e-6,

@@ -1,10 +1,11 @@
 """Tests for the verification suites."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from overlatt import oracle
+from overlatt import oracle, verify
 from overlatt.geometry3d import ordering_regime
 from overlatt.lattice import DistortedLattice
 from overlatt.verify import (
@@ -57,6 +58,26 @@ class TestSuites:
         # suite too, which draws no samples
         with pytest.raises(ValueError, match=message.replace("[", r"\[")):
             run_suite(suite, **{name: value})
+
+    def test_oracle_seed_leaves_room_for_every_cell(self, monkeypatch):
+        # cell i draws from seed + i, and mc_union takes seeds below 2^128
+        seeds = []
+
+        def mc_union(lat, r, samples, seed, par):
+            seeds.append(seed)
+            return SimpleNamespace(mean=0.5, std_error=1.0)
+
+        monkeypatch.setattr(verify, "mc_union", mc_union)
+        cells = sum(len(grid_radii(DistortedLattice(n, delta)))
+                    for n, deltas in ((2, GRID_DELTAS_2D),
+                                      (3, GRID_DELTAS_3D))
+                    for delta in deltas)
+        for suite in ("oracle", "all"):
+            with pytest.raises(ValueError, match="seed must be in"):
+                run_suite(suite, samples=1, seed=2 ** 128 - cells + 1)
+        assert seeds == []
+        run_suite("oracle", samples=1, seed=2 ** 128 - cells)
+        assert seeds == list(range(2 ** 128 - cells, 2 ** 128))
 
     def test_report_serializes(self):
         rep = run_suite("theorems")
