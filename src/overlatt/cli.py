@@ -269,8 +269,10 @@ def cmd_sweep(args) -> int:
                          else (args.variable,)))
         if args.mode == "covering":
             _refuse_unread(args, "covering mode", "measure")
+        if args.mode == "packing" and args.measure is None:
+            raise ValueError("packing mode requires --measure dist|vol")
         lo, hi, steps, dim = args.lo, args.hi, args.steps, args.dim
-        mode, measure = args.mode, args.measure or "dist"
+        mode, measure = args.mode, args.measure
         if lo is None or hi is None or not lo < hi:
             raise ValueError(f"sweep needs --lo < --hi, got {lo}, {hi}")
         if dim is None:

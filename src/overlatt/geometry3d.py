@@ -119,11 +119,14 @@ def critical_radii_3d(delta: float) -> CriticalRadii3D:
 
 
 def dual_radii_3d(delta: float) -> DualRadii3D:
-    """The two vertex radii for delta >= 1."""
+    """The two vertex radii for delta >= 1.  OverflowError where delta^2
+    overflows (delta above about 1.34e154), as covering_radius raises."""
     _check_delta(delta)
     if delta < 1.0:
         raise ValueError(f"dual catalog covers delta >= 1, got {delta}")
     d2 = delta * delta
+    if d2 == math.inf:
+        raise OverflowError(f"delta^2 overflows at delta={delta!r}")
     s1 = (d2 + 2.0) / (2.0 * _SQRT3 * delta)
     s2 = math.sqrt(d2 + 8.0) / (2.0 * _SQRT3)
     return DualRadii3D(s1, s2, delta)

@@ -62,10 +62,6 @@ TIE_TOL = 1e-9
 # tied delta values closer than this collapse to one representative
 DEDUPE_TOL = 1e-6
 RADIUS_TOL = 1e-12
-# the reporting bar is 1e-7 in delta, but exactly tied peaks can sit at
-# branch kinks where a delta error of g leaves a value error of
-# slope * g; refining to 1e-11 keeps that error under TIE_TOL
-DELTA_REFINE_TOL = 1e-11
 # crossover_omega tells two densities apart once their intervals lie
 # this far apart, relative; far above the ulp-level error of r ** n
 SEPARATION_TOL = 1e-12
@@ -95,10 +91,6 @@ class QualityQuery(NamedTuple):
     measure: OverlapMeasure | None = None
     omega: float = 0.0
     delta_range: tuple[float, float] = (DELTA_MIN, DELTA_MAX)
-    # log-spaced scan size; the branch breakpoints are added to the scan
-    # and evaluated exactly, so the scan only has to bracket every local
-    # optimum away from them
-    scan_points: int = 40
 
 
 class QualityResult(NamedTuple):
@@ -481,30 +473,11 @@ def _objective(query: QualityQuery, delta: float) -> float:
     return -density(lat, covering_radius(lat) / (1.0 + query.omega))
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def _breakpoints(n: int) -> tuple[float, float, float]:
     """Deltas where the objective changes branch: packing_radius at
     1/sqrt(n+1) and sqrt(n+1), covering_radius and the 3D catalog at 1.
     The outer two are also the covering density's minima on either side
-    of 1, where alone its log-derivative vanishes (3D, delta <= 1:
-    40 d^4 + 22 d^2 - 8 = 0, so d = 1/2)."""
+    of 1, its only critical points (see optimize_delta)."""
     return (1.0 / math.sqrt(n + 1.0), 1.0, math.sqrt(n + 1.0))
 
 
@@ -519,6 +492,8 @@ def _validate_query(query: QualityQuery):
             raise ValueError("packing mode requires an overlap measure")
         _validate_omega(query.measure, query.omega)
     elif query.mode is QualityMode.COVERING:
+        if query.measure is not None:
+            raise ValueError(f"covering reads no measure, got {query.measure}")
         _validate_omega(None, query.omega)
     else:
         raise ValueError(f"unknown mode {query.mode!r}")
@@ -591,71 +566,36 @@ def _plateau_optimum(query: QualityQuery) -> OptimizeResult | None:
 def optimize_delta(query: QualityQuery) -> OptimizeResult:
     """Best delta for the query: max density (packing) or min (covering).
 
-    Volume-measure packing in 2D and 3D whose budget covers space
-    somewhere in delta_range is flat at its optimum, and that optimum is
-    read off the closed-form covering density (_plateau_optimum).
+    Volume-measure packing in 2D and 3D whose budget covers space somewhere in
+    delta_range is flat at its optimum, read off the closed-form covering
+    density (_plateau_optimum).  Every other objective (the covering density
+    negated) rises on (0, 1/sqrt(n+1)), falls on (1/sqrt(n+1), 1), rises on
+    (1, sqrt(n+1)) and falls beyond, so only the ends of delta_range and the
+    breakpoints inside it are evaluated: an optimum at a kink (hexagonal and
+    its dual, BCC, FCC) is exact.  Ties are within TIE_TOL of the best,
+    DEDUPE_TOL apart; delta_star is the best, then the smallest.  Covering and
+    the distance measure work in any n >= 2, the volume measure in n = 2, 3.
 
-    Every other query is scanned.  The objective changes branch at three
-    breakpoints, 1/sqrt(n+1), 1 and sqrt(n+1), and its optima sit at
-    them more often than not (the hexagonal lattice, FCC and BCC).  A
-    log-spaced scan of `scan_points` deltas, with every breakpoint
-    inside `delta_range` added, brackets the optima; each breakpoint is
-    also an exact candidate.  Each local maximum of the scan is
-    golden-section refined over its two neighbours to |d delta| < 1e-11,
-    except at a breakpoint k whose objective is not exceeded at k - 1e-6
-    or k + 1e-6 (DEDUPE_TOL; probed where inside the bracket): k is the
-    peak there.  A refined candidate that does not beat a breakpoint
-    inside its bracket by more than 1e-9 is reported as the breakpoint
-    itself, so an optimum at a kink comes out exact rather than refined
-    down to noise.  Skipping a breakpoint's refinement reports what
-    refining and snapping would, given two conditions: the objective is
-    unimodal on the bracket, as golden section assumes anyway, so the
-    peak lies within 1e-6 of k; and each branch has |f''| < 2 TIE_TOL /
-    DEDUPE_TOL^2 = 2000 there, so the peak beats f(k) by at most 1e-9
-    and the snap rule would report k.  All deltas whose objective ties
-    the best within 1e-9 are reported, collapsed when closer than 1e-6.
-
-    Covering and the distance measure work in any dimension n >= 2; the
-    volume measure needs the closed forms of n = 2 and 3.
+    The shape is proved for the distance measure and for covering, whose
+    objectives go as packing_radius^n / delta and covering_radius^n /
+    delta.  Packing: the outer branches go as delta^(n-1) and 1/delta, the
+    middle one has the log-slope (n-1)(delta^2-1) / (delta (n-1+delta^2)).
+    Covering, x = delta^2: the log-slope vanishes only where (2n-1)(n+1)x^2
+    + (n^2+2)x - (n+1) = 0 (delta <= 1), x = n+1 (odd n, delta >= 1) or
+    (n-1)x^2 - (n^2-2)x - (n+1) = 0 (even n, delta >= 1), each with exactly
+    one positive root, 1/(n+1) or n+1.  The volume measure is checked, not
+    proved: its slope changes sign inside no branch, beyond 1e-10, on 3,000
+    log-spaced deltas over [0.05, 20] at 15 budgets below the least
+    covering overlap, nor on 1,500 at 8 above it, off the plateau
+    (tests/test_quality.py checks a coarser grid).
     """
     _validate_query(query)
-    m = _check_int("scan_points", query.scan_points, 2)
     res = _plateau_optimum(query)
     if res is not None:
         return res
     lo, hi = query.delta_range
-    f = lambda d: _objective(query, d)
-    kinks = [b for b in _breakpoints(query.n) if lo <= b <= hi]
-    xs = sorted({lo, hi, *kinks,
-                 *(lo * (hi / lo) ** (i / (m - 1)) for i in range(1, m - 1))})
-    fs = [f(x) for x in xs]
-    kink_at = {b: xs.index(b) for b in kinks}
-
-    # (delta, objective): every breakpoint, and every local maximum of
-    # the scan refined; a tied peak elsewhere can sit below the scan
-    # maximum at grid resolution and still refine to the same value.  A
-    # breakpoint that no probe DEDUPE_TOL away exceeds is the peak the
-    # refinement would snap back to, and it is a candidate already
-    candidates = [(k, fs[i]) for k, i in kink_at.items()]
-    for i in range(len(xs)):
-        left_ok = i == 0 or fs[i] >= fs[i - 1]
-        right_ok = i == len(xs) - 1 or fs[i] >= fs[i + 1]
-        if left_ok and right_ok:
-            a = xs[max(i - 1, 0)]
-            b = xs[min(i + 1, len(xs) - 1)]
-            probes = (xs[i] - DEDUPE_TOL, xs[i] + DEDUPE_TOL)
-            if xs[i] in kink_at and all(f(x) <= fs[i]
-                                        for x in probes if a < x < b):
-                continue
-            d, v = _golden_max(f, a, b, DELTA_REFINE_TOL)
-            # a refinement that does not beat a breakpoint in its
-            # bracket by more than TIE_TOL reports the breakpoint: at a
-            # blunt kink the golden point can settle on noise more than
-            # DEDUPE_TOL away and count as a second tie
-            snap = [(k, fs[j]) for k, j in kink_at.items()
-                    if a <= k <= b and v <= fs[j] + TIE_TOL]
-            candidates.append(snap[0] if snap else (d, v))
-
+    candidates = [(d, _objective(query, d)) for d in sorted(
+        {lo, hi, *(b for b in _breakpoints(query.n) if lo < b < hi)})]
     best = max(v for _, v in candidates)
     tied = [dv for dv in candidates if dv[1] >= best - TIE_TOL]
     delta_star = max(tied, key=lambda dv: (dv[1], -dv[0]))[0]

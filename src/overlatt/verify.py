@@ -140,10 +140,10 @@ def _theorem_checks() -> list[CheckResult]:
                 QualityQuery(n=n, mode=QualityMode.COVERING, omega=omega),
                 1.0 / math.sqrt(n + 1.0)))
     for omega in (0.0, 0.05, 0.1, 0.2, 0.5, 1.0):
-        # the objective is itself a root-finding result here (the
-        # inversion of the overlap to 1e-12 in r); 1/sqrt 3 is a
-        # breakpoint candidate, so the sharp optima at omega 0.05 to 0.2
-        # come out exact, and the bar stays 1e-5 for a peak off it
+        # 1/sqrt 3 is a breakpoint candidate, so the sharp optima at
+        # omega 0.05 to 0.2 come out exact and the plateaus at 0.5 and 1
+        # hold it; the 1e-5 bar is wider than they need and stays so the
+        # report's expected strings stay the same
         checks.append(_argopt_check(
             f"argmax packing vol n=2 omega={omega}",
             QualityQuery(n=2, mode=QualityMode.PACKING, measure=vol,

@@ -287,6 +287,8 @@ class TestSweep:
          "--dim", "2", "--mode", "covering"),
         ("--variable", "delta", "--steps", "3", "--dim", "2", "--mode",
          "packing"),
+        ("--variable", "delta", "--lo", "0.5", "--hi", "2", "--steps", "3",
+         "--dim", "3", "--mode", "packing"),
     ])
     def test_invalid_sweep_exits_2(self, capsys, argv):
         code, out, err = run(capsys, "sweep", *argv)

@@ -660,6 +660,11 @@ class TestFloatRange:
         with pytest.raises(OverflowError):
             build_cap_arrangement(delta)
 
+    @pytest.mark.parametrize("delta", [1.4e154, 1e200, 1e308])
+    def test_dual_radii_overflow_raises(self, delta):
+        with pytest.raises(OverflowError, match="overflows"):
+            dual_radii_3d(delta)
+
     def test_union_raises(self):
         # it was 6.9e283, for a cell of volume 1e-300
         with pytest.raises(ValueError):

@@ -296,8 +296,6 @@ class TestSharedChecks:
         "named_lattice": ("dimension", lambda k: named_lattice("hexagonal", k)),
         "mc_union": ("samples", lambda k: mc_union(DistortedLattice(3, 0.5),
                                                    0.5, samples=k)),
-        "optimize_delta": ("scan_points", lambda k: optimize_delta(
-            QualityQuery(3, QualityMode.COVERING, scan_points=k))),
         "crossover_omega": ("grid", lambda k: crossover_omega(grid=k)),
         "unit_ball_volume": ("dimension", unit_ball_volume),
         "run_suite samples": ("samples", lambda k: run_suite(

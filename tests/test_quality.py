@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from overlatt import measures, quality
@@ -446,10 +446,9 @@ class TestOptimizeDelta:
         with pytest.raises(ValueError):
             optimize_delta(QualityQuery(n=3, mode=QualityMode.COVERING,
                                         delta_range=(-1.0, 0.5)))
-        with pytest.raises(ValueError):
-            optimize_delta(QualityQuery(n=3, mode=QualityMode.PACKING,
-                                        measure=DIST, omega=0.5,
-                                        scan_points=1))
+        with pytest.raises(ValueError, match="measure"):
+            optimize_delta(QualityQuery(n=3, mode=QualityMode.COVERING,
+                                        measure=VOL, omega=0.1))
 
     def test_rejects_non_finite_delta_range(self):
         for delta_range in ((1.0, math.inf), (-math.inf, 1.0),
@@ -457,12 +456,6 @@ class TestOptimizeDelta:
             with pytest.raises(ValueError, match="delta_range"):
                 optimize_delta(QualityQuery(n=3, mode=QualityMode.COVERING,
                                             delta_range=delta_range))
-
-    def test_rejects_non_integer_scan_points(self):
-        for points in (2.5, 40.0):
-            with pytest.raises(ValueError, match="scan_points"):
-                optimize_delta(QualityQuery(n=3, mode=QualityMode.COVERING,
-                                            scan_points=points))
 
 
 def _pack(n, measure, omega, delta_range=(DELTA_MIN, DELTA_MAX)):
@@ -525,6 +518,8 @@ class TestOptimizeDeltaBreakpoints:
             assert any(abs(t - kink) < 1e-6 for t in res.ties), res
 
     def test_forty_points_match_four_hundred(self):
+        # the candidates alone against a 400-point scan that refines
+        # every local maximum
         queries = [q for n in (2, 3, 4, 5)
                    for omega in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9)
                    for q in (_pack(n, DIST, omega), _cover(n, omega))]
@@ -535,24 +530,89 @@ class TestOptimizeDeltaBreakpoints:
         queries.append(_pack(3, VOL, 0.3))
         for query in queries:
             coarse = optimize_delta(query)
-            fine = optimize_delta(query._replace(scan_points=400))
+            fine = refine_every_maximum(query, 400)
             assert abs(coarse.result.density - fine.result.density) \
                 <= quality.TIE_TOL, query
             assert len(coarse.ties) == len(fine.ties), query
             assert coarse.plateau == fine.plateau, query
 
+    def test_objective_is_monotone_between_breakpoints(self):
+        # optimize_delta evaluates only the range ends and the
+        # breakpoints because each objective rises, falls, rises and
+        # falls on the four branches; volume budgets above the least
+        # covering overlap are checked off their plateau
+        queries = [q for n in (2, 3, 4, 5) for omega in (0.0, 0.5)
+                   for q in (_pack(n, DIST, omega), _cover(n, omega))]
+        queries += [_pack(n, VOL, FLAT[n] * s) for n in (2, 3)
+                    for s in (0.3, 0.9, 1.1, 2.0)]
+        for query in queries:
+            plateau = quality._plateau_optimum(query)
+            ranges = plateau.plateau_ranges if plateau else ()
+            edges = (DELTA_MIN, *quality._breakpoints(query.n), DELTA_MAX)
+            for j, (a, b) in enumerate(zip(edges, edges[1:])):
+                deltas = [d for d in np.geomspace(a, b, 302)[1:-1]
+                          if not any(lo <= d <= hi for lo, hi in ranges)]
+                values = [quality._objective(query, d) for d in deltas]
+                sign = 1.0 if j % 2 == 0 else -1.0
+                for i in range(len(values) - 1):
+                    assert sign * (values[i + 1] - values[i]) \
+                        >= -1e-10 * abs(values[i]), (query, deltas[i])
 
-def refine_every_maximum(query):
+    @settings(max_examples=60)
+    @given(n=st.sampled_from((2, 3)),
+           kind=st.sampled_from(("dist", "vol", "covering")),
+           omega=st.floats(0.0, 0.95),
+           ends=st.lists(st.floats(math.log(DELTA_MIN), math.log(DELTA_MAX)),
+                         min_size=2, max_size=2, unique=True),
+           fracs=st.lists(st.floats(0.0, 1.0), min_size=32, max_size=32))
+    def test_optimum_is_a_candidate_and_beats_drawn_deltas(
+            self, n, kind, omega, ends, fracs):
+        lo, hi = sorted(math.exp(e) for e in ends)
+        assume(lo < hi)
+        query = (_cover(n, omega, (lo, hi)) if kind == "covering" else
+                 _pack(n, DIST if kind == "dist" else VOL, omega, (lo, hi)))
+        res = optimize_delta(query)
+        assert res.delta_star in (lo, hi, *quality._breakpoints(n)) or any(
+            a <= res.delta_star <= b for a, b in res.plateau_ranges), res
+        best = quality._objective(query, res.delta_star)
+        for frac in fracs:
+            delta = min(max(lo * (hi / lo) ** frac, lo), hi)
+            assert best >= quality._objective(query, delta) \
+                - quality.TIE_TOL, (query, delta)
+
+
+def golden_max(f, a, b, tol=1e-11):
+    """Golden-section maximum of f on [a, b] to |d delta| < tol."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def refine_every_maximum(query, m):
     """Reference optimize_delta: the same closed-form plateau path, then
-    the same scan and snap rule, with every local maximum of the scan
-    golden-section refined, breakpoints included."""
+    a log-spaced scan of m deltas with the breakpoints in delta_range
+    added as exact candidates, every local maximum of the scan
+    golden-section refined over its two neighbours, and a refinement
+    that does not beat a breakpoint in that bracket by more than TIE_TOL
+    reported as the breakpoint."""
     res = quality._plateau_optimum(query)
     if res is not None:
         return res
     TIE_TOL, DEDUPE_TOL = quality.TIE_TOL, quality.DEDUPE_TOL
     lo, hi = query.delta_range
     f = lambda d: quality._objective(query, d)
-    m = query.scan_points
     kinks = [b for b in quality._breakpoints(query.n) if lo <= b <= hi]
     xs = sorted({lo, hi, *kinks,
                  *(lo * (hi / lo) ** (i / (m - 1)) for i in range(1, m - 1))})
@@ -564,7 +624,7 @@ def refine_every_maximum(query):
         if (i == 0 or fs[i] >= fs[i - 1]) \
                 and (i == len(xs) - 1 or fs[i] >= fs[i + 1]):
             a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-            d, v = quality._golden_max(f, a, b, quality.DELTA_REFINE_TOL)
+            d, v = golden_max(f, a, b)
             snap = [(k, fs[j]) for k, j in kink_at.items()
                     if a <= k <= b and v <= fs[j] + TIE_TOL]
             candidates.append(snap[0] if snap else (d, v))
@@ -593,24 +653,24 @@ def _equivalence_queries():
     queries += [_pack(3, VOL, omega, rg) for omega in (0.1, 0.3)
                 for rg in ranges]
     queries.append(_pack(4, VOL, 0.0))
-    return [q._replace(scan_points=m) for q in queries for m in (40, 13)]
+    return queries
 
 
 class TestOptimizeDeltaSkipsBreakpointRefinement:
-    """A breakpoint that no probe DEDUPE_TOL away exceeds is reported
-    without the golden-section refinement that would snap back to it."""
+    """Evaluating only the range ends and the breakpoints reports what a
+    scan that golden-section refines every local maximum reports."""
 
     def test_matches_refining_every_maximum(self):
         # 13 scan points put two breakpoints in one bracket
         for query in _equivalence_queries():
-            assert repr(optimize_delta(query)) \
-                == repr(refine_every_maximum(query)), query
+            for m in (40, 13):
+                assert repr(optimize_delta(query)) \
+                    == repr(refine_every_maximum(query, m)), (query, m)
 
     def test_objective_call_budget(self, monkeypatch):
         # a deterministic cost guard: refining every scan maximum takes
-        # 5,252 objective evaluations per theorems pass, the probes 1,836,
-        # and the closed-form plateaus 1,676 (no scan on the two 2D
-        # plateau queries)
+        # 5,252 objective evaluations per theorems pass, a 40-point scan
+        # 1,676, and the candidates alone 172
         calls = []
         objective = quality._objective
 
@@ -620,39 +680,17 @@ class TestOptimizeDeltaSkipsBreakpointRefinement:
 
         monkeypatch.setattr(quality, "_objective", counted)
         assert run_suite("theorems").passed
-        assert len(calls) <= 1700
-
-    @staticmethod
-    def optimize_synthetic(monkeypatch, peak):
-        golden = []
-        golden_max = quality._golden_max
-
-        def counted(f, a, b, tol):
-            golden.append((a, b))
-            return golden_max(f, a, b, tol)
-
-        monkeypatch.setattr(quality, "_objective", lambda query, d: peak(d))
-        monkeypatch.setattr(quality, "_golden_max", counted)
-        return optimize_delta(_pack(2, DIST, 0.0)), golden
-
-    @pytest.mark.parametrize("offset", (0.01, -0.005))
-    def test_peak_off_the_breakpoint_is_refined(self, monkeypatch, offset):
-        # the scan maximum is sqrt 3, between scan points 1.712 and 1.996
-        top = SQRT3 + offset
-        res, golden = self.optimize_synthetic(
-            monkeypatch, lambda d: -(d - top) ** 2)
-        assert len(golden) == 1
-        assert golden[0][0] < SQRT3 < golden[0][1]
-        assert abs(res.delta_star - top) < 1e-6
-        assert res.ties == (res.delta_star,)
+        assert len(calls) <= 200
 
     def test_v_shaped_top_at_the_breakpoint_is_not_refined(self,
                                                            monkeypatch):
-        res, golden = self.optimize_synthetic(
-            monkeypatch, lambda d: -abs(d - SQRT3))
-        assert golden == []
+        calls = []
+        monkeypatch.setattr(quality, "_objective", lambda query, d: (
+            calls.append(d) or -abs(d - SQRT3)))
+        res = optimize_delta(_pack(2, DIST, 0.0))
         assert res.delta_star == SQRT3
         assert res.ties == (SQRT3,)
+        assert calls == [DELTA_MIN, *quality._breakpoints(2), DELTA_MAX]
 
 
 # the least covering overlap, at the hexagonal lattice and at BCC: the
