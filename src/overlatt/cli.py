@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from collections import namedtuple
 
 from . import __version__
 from .geometry2d import critical_radii_2d
@@ -27,7 +28,6 @@ from .measures import (
     MeasureReport,
     NoClosedFormError,
     OverlapMeasure,
-    UndefinedRatioError,
     density,
     dist_overlap,
     free_space,
@@ -45,9 +45,6 @@ from .quality import (
 from .verify import SUITES, run_suite
 
 __all__ = ["main"]
-
-MEASURES = tuple(m.value for m in OverlapMeasure)
-
 
 def _finite(x: float) -> float:
     """x, unless it is +-inf, a result that left the float range (NaN
@@ -107,15 +104,6 @@ def _given(args, *names) -> dict:
             if getattr(args, name) is not None}
 
 
-def _refuse_unread(args, reader: str, *names):
-    """ValueError naming the flags among names that were given, although
-    reader reads none of them."""
-    given = ", ".join("--" + name.replace("_", "-")
-                      for name in _given(args, *names))
-    if given:
-        raise ValueError(f"{reader} reads no {given}")
-
-
 def _geomspace(lo: float, hi: float, steps: int) -> list[float]:
     return [lo * (hi / lo) ** (i / (steps - 1)) for i in range(steps)]
 
@@ -163,13 +151,10 @@ def cmd_radii(args) -> int:
         lines.append(f"r3 {_fmt(scale * rad.r3)} vertices")
     elif args.dim == 3:
         if args.delta <= 1.0:
-            rad = critical_radii_3d(args.delta)
-            for name in ("r1", "r2", "r3", "r4", "r5", "r6"):
-                lines.append(f"{name} {_fmt(getattr(rad, name))}")
+            rad, names = critical_radii_3d(args.delta), "r1 r2 r3 r4 r5 r6"
         else:
-            dual = dual_radii_3d(args.delta)
-            lines.append(f"s1 {_fmt(dual.s1)}")
-            lines.append(f"s2 {_fmt(dual.s2)}")
+            rad, names = dual_radii_3d(args.delta), "s1 s2"
+        lines += [f"{n} {_fmt(getattr(rad, n))}" for n in names.split()]
         arr = build_cap_arrangement(args.delta)
         for label, multiset in (("faces", arr.plane_distance_multiset()),
                                 ("vertices", arr.vertex_distance_multiset())):
@@ -186,30 +171,28 @@ def cmd_radii(args) -> int:
 
 def cmd_measure(args) -> int:
     lat = DistortedLattice(args.dim, args.delta)
-    est = None
-    if args.oracle:
-        est = mc_union(lat, args.r, **_given(args, "samples", "seed", "par"))
-    else:
-        _refuse_unread(args, "measure without --oracle", "samples", "seed",
-                       "par")
     try:
+        # before any sampling, so a bad radius costs no samples
         rep = measure_report(lat, args.r)
     except NoClosedFormError:
-        if est is None:
+        if not args.oracle:
             raise ValueError(
                 f"no exact union form in dimension {args.dim}; rerun "
                 "with --oracle [--samples N --seed S]") from None
+        rep = None
+    fields, row = list(MeasureReport._fields), ()
+    if args.oracle:
+        est = mc_union(lat, args.r, **_given(args, "samples", "seed", "par"))
+        fields += ["mc_union", "mc_se", "samples", "seed"]
+        row = (est.mean, est.std_error, est.samples, est.seed)
+    if rep is None:
         # the estimate stands in for the union
         dens = density(lat, args.r)
         rep = MeasureReport(
             delta=args.delta, n=args.dim, r=args.r, density=dens,
             union=est.mean, dist_overlap=dist_overlap(lat, args.r),
             vol_overlap=dens - est.mean, free_space=free_space(lat, args.r))
-    fields, row = list(MeasureReport._fields), tuple(rep)
-    if est is not None:
-        fields += ["mc_union", "mc_se", "samples", "seed"]
-        row += (est.mean, est.std_error, est.samples, est.seed)
-    _emit_rows(args, "measure", fields, [row])
+    _emit_rows(args, "measure", fields, [tuple(rep) + row])
     return 0
 
 
@@ -222,10 +205,6 @@ def _quality_row(n: int, delta: float, mode: str, measure: str | None,
 
 
 def cmd_quality(args) -> int:
-    if args.mode == "packing" and args.measure is None:
-        raise ValueError("packing mode requires --measure dist|vol")
-    if args.mode == "covering":
-        _refuse_unread(args, "covering mode", "measure")
     if args.optimize:
         query = QualityQuery(
             n=args.dim,
@@ -244,10 +223,6 @@ def cmd_quality(args) -> int:
         rows = [tuple(res.result) + (ties, plateau)]
         _emit_rows(args, "quality-optimize", fields, rows)
         return 0
-    _refuse_unread(args, "quality without --optimize", "delta_lo",
-                   "delta_hi")
-    if args.delta is None:
-        raise ValueError("--delta is required unless --optimize is given")
     res = _quality_row(args.dim, args.delta, args.mode, args.measure,
                        args.omega)
     _emit_rows(args, "quality", res._fields, [tuple(res)])
@@ -256,37 +231,23 @@ def cmd_quality(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.preset:
-        # a preset sets its own axes, mode and measure
-        _refuse_unread(args, "sweep --preset", "lo", "hi", "delta", "omega",
-                       "mode", "measure")
         mode, measure, steps, axes = PRESETS[args.preset]
         steps = steps if args.steps is None else args.steps
         dim = 3 if args.dim is None else args.dim
     else:
         # r rows are the five measures; delta and omega span --lo..--hi
-        _refuse_unread(args, f"sweep --variable {args.variable}",
-                       *(("mode", "measure", "omega") if args.variable == "r"
-                         else (args.variable,)))
-        if args.mode == "covering":
-            _refuse_unread(args, "covering mode", "measure")
-        if args.mode == "packing" and args.measure is None:
-            raise ValueError("packing mode requires --measure dist|vol")
         lo, hi, steps, dim = args.lo, args.hi, args.steps, args.dim
         mode, measure = args.mode, args.measure
-        if lo is None or hi is None or not lo < hi:
+        if not lo < hi:
             raise ValueError(f"sweep needs --lo < --hi, got {lo}, {hi}")
-        if dim is None:
-            raise ValueError("sweep needs --dim")
         if args.variable == "delta":
             if lo <= 0.0:
                 raise ValueError(f"sweeping delta needs --lo > 0, got {lo}")
             omega = 0.0 if args.omega is None else args.omega
             axes = lambda steps: (_geomspace(lo, hi, steps), [omega])
-        elif args.delta is None:
-            raise ValueError(f"sweeping {args.variable} needs --delta")
         elif args.variable == "omega":
             axes = lambda steps: ([args.delta], _linspace(lo, hi, steps))
-    if steps is None or steps < 2:
+    if steps < 2:
         raise ValueError(f"sweep needs --steps >= 2, got {steps}")
     if args.variable == "r":
         lat = DistortedLattice(dim, args.delta)
@@ -294,8 +255,6 @@ def cmd_sweep(args) -> int:
                 for r in _linspace(args.lo, args.hi, steps)]
         _emit_rows(args, "sweep:r", MeasureReport._fields, rows)
         return 0
-    if mode is None:
-        raise ValueError("sweeping delta or omega needs --mode")
     deltas, omegas = axes(steps)
     rows = [tuple(_quality_row(dim, delta, mode, measure, omega))
             for delta in deltas for omega in omegas]
@@ -305,9 +264,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "theorems":
-        _refuse_unread(args, "verify --suite theorems", "samples", "seed",
-                       "par")
     report = run_suite(args.suite, **_given(args, "samples", "seed", "par"))
     payload = report.as_dict()
     payload["version"] = __version__
@@ -323,10 +279,93 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _add_output_flags(p: argparse.ArgumentParser):
-    p.add_argument("--out", default=None, help="write to file (default "
-                   "stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+# A subcommand. flags: its options' argparse keywords, in --help order.
+# case(args): a command line's case. cases: per case, the options it
+# needs and [the others it reads]. group: exclusive, required if pick_one.
+Command = namedtuple("Command", "run help flags case cases group pick_one",
+                     defaults=(lambda args: "", {"": ""}, (), False))
+
+_INT, _FLOAT = {"type": int}, {"type": float}
+_REQ_INT, _REQ_FLOAT = {**_INT, "required": True}, {**_FLOAT, "required": True}
+_MODE = {"choices": ("packing", "covering")}
+_MEASURE = {"choices": tuple(m.value for m in OverlapMeasure)}
+_ROWS = {"--out": {"help": "write to file (default stdout)"},
+         "--format": {"choices": ("csv", "json"), "default": "csv"}}
+_MC = {"--samples": _INT, "--seed": _INT, "--par": _INT}
+_SPAN, _READS_MC = "--lo --hi --steps --dim", "[--samples] [--seed] [--par]"
+
+COMMANDS = {
+    "radii": Command(
+        cmd_radii, "packing, covering, and critical radii of one lattice",
+        {"--dim": _REQ_INT, "--delta": _REQ_FLOAT, "--out": {}}),
+    "measure": Command(
+        cmd_measure, "all five measures at one (lattice, radius)",
+        {"--dim": _REQ_INT, "--delta": _REQ_FLOAT, "--r": _REQ_FLOAT,
+         "--oracle": {"action": "store_true", "help": "add Monte Carlo "
+                      "columns (required for dim > 3)"}, **_MC, **_ROWS},
+        lambda args: ("with" if args.oracle else "without") + " --oracle",
+        {"with --oracle": _READS_MC, "without --oracle": ""}),
+    "quality": Command(
+        cmd_quality, "relaxed packing/covering quality at one delta, or "
+        "optimized over delta",
+        {"--mode": {**_MODE, "required": True}, "--measure": _MEASURE,
+         "--dim": _REQ_INT, "--delta": _FLOAT,
+         "--optimize": {"action": "store_true", "help": "search delta in "
+                        "[--delta-lo, --delta-hi]"},
+         "--omega": {**_FLOAT, "default": 0.0}, "--delta-lo": _FLOAT,
+         "--delta-hi": _FLOAT, **_ROWS},
+        lambda args: f"--mode {args.mode}" + " --optimize" * args.optimize,
+        {"--mode packing": "--measure --delta",
+         "--mode packing --optimize": "--measure [--delta-lo] [--delta-hi]",
+         "--mode covering": "--delta",
+         "--mode covering --optimize": "[--delta-lo] [--delta-hi]"},
+        ("--delta", "--optimize")),
+    "sweep": Command(
+        cmd_sweep, "emit rows over a swept variable or a figure preset",
+        {"--preset": {"choices": tuple(PRESETS)},
+         "--variable": {"choices": ("delta", "omega", "r")},
+         "--lo": _FLOAT, "--hi": _FLOAT, "--steps": _INT, "--dim": _INT,
+         "--delta": _FLOAT, "--omega": _FLOAT, "--mode": _MODE,
+         "--measure": _MEASURE, **_ROWS},
+        lambda args: "--preset" if args.preset else (
+            f"--variable {args.variable}" + f" --mode {args.mode}"
+            * (args.variable != "r" and args.mode is not None)),
+        {"--preset": "[--steps] [--dim]",  # it sets axes, mode and measure
+         "--variable r": f"{_SPAN} --delta",
+         "--variable delta": f"{_SPAN} --mode [--omega] [--measure]",
+         "--variable delta --mode packing": f"{_SPAN} --measure [--omega]",
+         "--variable delta --mode covering": f"{_SPAN} [--omega]",
+         "--variable omega": f"{_SPAN} --delta --mode [--measure]",
+         "--variable omega --mode packing": f"{_SPAN} --delta --measure",
+         "--variable omega --mode covering": f"{_SPAN} --delta"},
+        ("--preset", "--variable"), True),
+    "verify": Command(
+        cmd_verify, "run a verification suite, exit nonzero on failure",
+        {"--suite": {"choices": SUITES, "default": "all"}, **_MC, "--out": {}},
+        lambda args: f"--suite {args.suite}",
+        {"--suite all": _READS_MC, "--suite theorems": "",
+         "--suite oracle": _READS_MC}),
+}
+
+
+def _check_flags(args):
+    """ValueError naming each option that the case of args needs and
+    lacks, or else each given one it does not read: a case reads the
+    options in its name and its list, and those that no case lists."""
+    command = COMMANDS[args.command]
+    case = command.case(args)
+    lists = {name: listed.replace("[", "").replace("]", "").split()
+             for name, listed in command.cases.items()}
+    reads = {*case.split(), *lists[case],
+             *set(command.flags).difference(*lists.values())}
+    given = [flag for flag in command.flags
+             if getattr(args, flag[2:].replace("-", "_")) is not None]
+    missing = [flag for flag in command.cases[case].split()
+               if flag[0] != "[" and flag not in given]
+    unread = [flag for flag in given if flag not in reads]
+    if missing or unread:
+        verb, flags = ("needs", missing) if missing else ("reads no", unread)
+        raise ValueError(f"{args.command} {case} {verb} {', '.join(flags)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,83 +376,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"overlatt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("radii", help="packing, covering, and critical "
-                       "radii of one lattice")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_radii)
-
-    p = sub.add_parser("measure", help="all five measures at one "
-                       "(lattice, radius)")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--oracle", action="store_true",
-                   help="add Monte Carlo columns (required for dim > 3)")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--par", type=int, default=None)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_measure)
-
-    p = sub.add_parser("quality", help="relaxed packing/covering quality "
-                       "at one delta, or optimized over delta")
-    p.add_argument("--mode", choices=("packing", "covering"),
-                   required=True)
-    p.add_argument("--measure", choices=MEASURES, default=None)
-    p.add_argument("--dim", type=int, required=True)
-    at = p.add_mutually_exclusive_group()
-    at.add_argument("--delta", type=float, default=None)
-    at.add_argument("--optimize", action="store_true",
-                    help="search delta in [--delta-lo, --delta-hi]")
-    p.add_argument("--omega", type=float, default=0.0)
-    p.add_argument("--delta-lo", type=float, default=None)
-    p.add_argument("--delta-hi", type=float, default=None)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_quality)
-
-    p = sub.add_parser("sweep", help="emit rows over a swept variable or "
-                       "a figure preset")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--preset", choices=tuple(PRESETS), default=None)
-    source.add_argument("--variable", choices=("delta", "omega", "r"),
-                        default=None)
-    p.add_argument("--lo", type=float, default=None)
-    p.add_argument("--hi", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--mode", choices=("packing", "covering"), default=None)
-    p.add_argument("--measure", choices=MEASURES, default=None)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("verify", help="run a verification suite, exit "
-                       "nonzero on failure")
-    p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--par", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        group = (p.add_mutually_exclusive_group(required=command.pick_one)
+                 if command.group else p)
+        for flag, kw in command.flags.items():
+            (group if flag in command.group else p).add_argument(flag, **kw)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _check_flags(args)
+        return COMMANDS[args.command].run(args)
     except OverflowError as exc:
         # float ** raises OverflowError(34, 'Numerical result out of range')
         print(f"error: a value leaves the float range ({exc.args[-1]})",
               file=sys.stderr)
         return 2
-    except (ValueError, NoClosedFormError, UndefinedRatioError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

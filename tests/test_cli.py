@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import math
 
 import pytest
 
+from overlatt import cli
 from overlatt.cli import main
 
 
@@ -102,6 +104,17 @@ class TestMeasure:
         assert code == 0
         assert float(row["union"]) == 1.0
         assert float(row["vol_overlap"]) == float(row["density"]) - 1.0
+
+    def test_zero_radius_exits_before_sampling(self, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("mc_union ran")
+
+        monkeypatch.setattr(cli, "mc_union", no_sampling)
+        code, out, err = run(capsys, "measure", "--dim", "8", "--delta", "1",
+                             "--r", "0", "--oracle")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "r = 0 is undefined" in err
 
     def test_high_dim_needs_oracle(self, capsys):
         code, _, err = run(capsys, "measure", "--dim", "4", "--delta", "1",
@@ -375,6 +388,196 @@ class TestUnreadFlags:
         assert code == 2
         assert out == ""
         assert all(flag in err for flag in flags)
+
+
+# subcommand -> option -> (type, choices, default, required, help)
+OPTIONS = {
+    "radii": {
+        "--dim": (int, None, None, True, None),
+        "--delta": (float, None, None, True, None),
+        "--out": (None, None, None, False, None),
+    },
+    "measure": {
+        "--dim": (int, None, None, True, None),
+        "--delta": (float, None, None, True, None),
+        "--r": (float, None, None, True, None),
+        "--oracle": (None, None, False, False,
+                     "add Monte Carlo columns (required for dim > 3)"),
+        "--samples": (int, None, None, False, None),
+        "--seed": (int, None, None, False, None),
+        "--par": (int, None, None, False, None),
+        "--out": (None, None, None, False, "write to file (default stdout)"),
+        "--format": (None, ("csv", "json"), "csv", False, None),
+    },
+    "quality": {
+        "--mode": (None, ("packing", "covering"), None, True, None),
+        "--measure": (None, ("dist", "vol"), None, False, None),
+        "--dim": (int, None, None, True, None),
+        "--delta": (float, None, None, False, None),
+        "--optimize": (None, None, False, False,
+                       "search delta in [--delta-lo, --delta-hi]"),
+        "--omega": (float, None, 0.0, False, None),
+        "--delta-lo": (float, None, None, False, None),
+        "--delta-hi": (float, None, None, False, None),
+        "--out": (None, None, None, False, "write to file (default stdout)"),
+        "--format": (None, ("csv", "json"), "csv", False, None),
+    },
+    "sweep": {
+        "--preset": (None, ("fig1-left", "fig1-right", "fig3", "fig3-middle",
+                            "fig3-right"), None, False, None),
+        "--variable": (None, ("delta", "omega", "r"), None, False, None),
+        "--lo": (float, None, None, False, None),
+        "--hi": (float, None, None, False, None),
+        "--steps": (int, None, None, False, None),
+        "--dim": (int, None, None, False, None),
+        "--delta": (float, None, None, False, None),
+        "--omega": (float, None, None, False, None),
+        "--mode": (None, ("packing", "covering"), None, False, None),
+        "--measure": (None, ("dist", "vol"), None, False, None),
+        "--out": (None, None, None, False, "write to file (default stdout)"),
+        "--format": (None, ("csv", "json"), "csv", False, None),
+    },
+    "verify": {
+        "--suite": (None, ("all", "theorems", "oracle"), "all", False, None),
+        "--samples": (int, None, None, False, None),
+        "--seed": (int, None, None, False, None),
+        "--par": (int, None, None, False, None),
+        "--out": (None, None, None, False, None),
+    },
+}
+
+# a value of each option that the parser takes; --omega 0 is falsy
+VALUES = {"--dim": "2", "--delta": "0.5", "--r": "0.5", "--lo": "0.5",
+          "--hi": "2", "--steps": "3", "--omega": "0", "--delta-lo": "0.5",
+          "--delta-hi": "2", "--samples": "10", "--seed": "0", "--par": "1",
+          "--out": "rows.txt", "--format": "json", "--measure": "dist",
+          "--mode": "covering", "--suite": "oracle", "--preset": "fig3",
+          "--variable": "delta"}
+
+# the options that argparse requires, and the selectors of the cases
+# whose name is not their command line
+REQUIRED = {"radii": ["--dim", "2", "--delta", "0.5"],
+            "measure": ["--dim", "2", "--delta", "0.5", "--r", "0.5"],
+            "quality": ["--dim", "2"], "sweep": [], "verify": []}
+SELECTORS = {"with --oracle": ["--oracle"], "without --oracle": [],
+             "--preset": ["--preset", "fig3"]}
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _case_of(sub, argv):
+    return cli.COMMANDS[sub].case(cli.build_parser().parse_args(argv))
+
+
+def _cases():
+    """(subcommand, case, its minimal command line, the options it needs
+    that are not selectors, those it reads), from the flag table.  A
+    needed selector (--mode of a sweep without one) stays out of the
+    command line, so it lacks that option alone."""
+    for sub, command in cli.COMMANDS.items():
+        listed = {case: names.replace("[", "").replace("]", "").split()
+                  for case, names in command.cases.items()}
+        unlisted = set(command.flags).difference(*listed.values())
+        for case, names in command.cases.items():
+            argv = [sub] + REQUIRED[sub] + SELECTORS.get(case, case.split())
+            needs = []
+            for flag in (w for w in names.split() if w[0] != "["):
+                if _case_of(sub, argv + [flag, VALUES[flag]]) == case:
+                    argv += [flag, VALUES[flag]]
+                    needs.append(flag)
+            reads = {*case.split(), *listed[case], *unlisted}
+            yield sub, case, argv, needs, reads
+
+
+CASES = list(_cases())
+IDS = [f"{sub} {case}".strip() for sub, case, *_ in CASES]
+
+
+class TestFlagTable:
+    """The flag table decides, before anything is computed, which options
+    each case of a subcommand needs and which it reads."""
+
+    @pytest.fixture(autouse=True)
+    def no_run(self, monkeypatch):
+        # a command line that passes the check exits 0 without computing
+        for sub, command in cli.COMMANDS.items():
+            monkeypatch.setitem(cli.COMMANDS, sub,
+                                command._replace(run=lambda args: 0))
+
+    def test_options_are_pinned(self):
+        got = {sub: {a.option_strings[0]: (a.type, a.choices, a.default,
+                                           a.required, a.help)
+                     for a in p._actions if a.dest != "help"}
+               for sub, p in _subparsers().items()}
+        assert got == OPTIONS
+        assert sum(len(flags) for flags in got.values()) == 39
+
+    def test_exclusive_groups(self):
+        got = {sub: [(sorted(a.option_strings[0] for a in g._group_actions),
+                      g.required) for g in p._mutually_exclusive_groups]
+               for sub, p in _subparsers().items()}
+        assert got == {"radii": [], "measure": [],
+                       "quality": [(["--delta", "--optimize"], False)],
+                       "sweep": [(["--preset", "--variable"], True)],
+                       "verify": []}
+
+    def test_every_case_is_reachable(self):
+        assert {(sub, case) for sub, case, *_ in CASES} == {
+            (sub, case) for sub, command in cli.COMMANDS.items()
+            for case in command.cases}
+
+    @pytest.mark.parametrize("sub, case, argv, needs, reads", CASES,
+                             ids=IDS)
+    def test_minimal_command_line(self, capsys, sub, case, argv, needs,
+                                  reads):
+        assert _case_of(sub, argv) == case
+        lacking = [w for w in cli.COMMANDS[sub].cases[case].split()
+                   if w[0] != "[" and w not in needs]
+        code, out, err = run(capsys, *argv)
+        if lacking:
+            assert (code, out) == (2, "")
+            assert err == f"error: {sub} {case} needs {', '.join(lacking)}\n"
+        else:
+            assert (code, out, err) == (0, "", "")
+
+    @pytest.mark.parametrize("sub, case, argv, needs, reads", CASES,
+                             ids=IDS)
+    def test_missing_needed_flag_exits_2(self, capsys, sub, case, argv,
+                                         needs, reads):
+        for flag in needs:
+            i = argv.index(flag)
+            code, out, err = run(capsys, *argv[:i], *argv[i + 2:])
+            assert code == 2
+            assert out == ""
+            assert err.count("\n") == 1
+            assert f"needs {flag}" in err or f", {flag}" in err
+
+    @pytest.mark.parametrize("sub, case, argv, needs, reads", CASES,
+                             ids=IDS)
+    def test_unread_flag_exits_2(self, capsys, sub, case, argv, needs,
+                                 reads):
+        command = cli.COMMANDS[sub]
+        if run(capsys, *argv)[0] != 0:
+            return  # it lacks a needed selector, which is named first
+        for flag, keywords in command.flags.items():
+            if flag in argv or flag in command.group:
+                continue
+            extra = [flag] if "action" in keywords else [flag, VALUES[flag]]
+            if _case_of(sub, argv + extra) != case:
+                continue  # a selector of another case
+            code, out, err = run(capsys, *argv, *extra)
+            if flag in reads:
+                assert code == 0, err
+            else:
+                assert code == 2
+                assert out == ""
+                assert err.count("\n") == 1
+                assert "reads no" in err and flag in err.split("reads no")[1]
 
 
 class TestVerifyCommand:
