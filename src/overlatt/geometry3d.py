@@ -53,6 +53,12 @@ the vertex.  Pair and triple volumes are both closed form by the
 divergence theorem, 3V = r * A_sphere - sum_i d_i * A_face_i; the
 triple's spherical patch comes from Gauss-Bonnet on the intersection of
 three caps.
+
+The face caps are evaluated once per distinct face distance (1 to 5 per
+cell) and still subtracted once per face, in plane order, so the sum is
+bit for bit the one-cap-per-face sum.  The distances are keyed by their
+exact floats, not by face orbit: the faces of one orbit can lie an ulp
+apart.
 """
 
 from __future__ import annotations
@@ -609,6 +615,9 @@ class TermOrbit:
 class CapArrangement:
     """Faces, edges and vertices of a cell, plus its cap terms.
 
+    face_distances are the distinct face distances in ascending order
+    and face_slots, per plane, the index of its distance there, so
+    inclusion-exclusion evaluates one cap per distinct distance.
     pair_orbits are the symmetry orbits of the edges (as face pairs) and
     triple_orbits those of the three-valent vertices (as face triples),
     each with the radius at which its cap intersection starts;
@@ -620,6 +629,8 @@ class CapArrangement:
     delta: float
     degenerate: bool
     planes: tuple
+    face_distances: tuple
+    face_slots: tuple
     edges: tuple
     vertices: tuple
     pair_orbits: tuple
@@ -749,10 +760,13 @@ def _regime_tables(regime: str) -> _RegimeTables:
     points = np.array(coeffs, dtype=float)
     points.flags.writeable = False
 
-    # vertices as sorted face index tuples
+    # images[g][i] is the face that isometry g maps face i to
     index = {c: i for i, c in enumerate(coeffs)}
-    incidences = tuple(sorted({tuple(sorted(index[_image(c, g)] for c in rep))
-                               for rep in vertex_reps for g in _ISOMETRIES}))
+    images = [[index[_image(c, g)] for c in coeffs] for g in _ISOMETRIES]
+
+    # vertices as sorted face index tuples
+    incidences = tuple(sorted({tuple(sorted(img[index[c]] for c in rep))
+                               for rep in vertex_reps for img in images}))
     vertex_faces = np.array([faces[:3] for faces in incidences])
     vertex_faces.flags.writeable = False
 
@@ -763,11 +777,9 @@ def _regime_tables(regime: str) -> _RegimeTables:
     edges = []
     for i, j in sorted(pair for pair, k in shared.items() if k == 2):
         ti, tj = _coeff_type(coeffs[i]), _coeff_type(coeffs[j])
-        tdiff = _coeff_type(np.subtract(coeffs[i], coeffs[j]))
+        tdiff = _coeff_type([a - b for a, b in zip(coeffs[i], coeffs[j])])
         edges.append(((i, j), f"{min(ti, tj)}{max(ti, tj)}|{tdiff}"))
 
-    # images[g][i] is the face that isometry g maps face i to
-    images = [[index[_image(c, g)] for c in coeffs] for g in _ISOMETRIES]
     pair_orbits = _term_orbits(images, [pair for pair, _ in edges])
     # a four-valent vertex (delta > 1) is left out: it lies at the covering
     # radius, and every term through it holds one of its diagonal face
@@ -812,6 +824,10 @@ def _build_arrangement(delta: float) -> CapArrangement:
                    for c, p, nrm in zip(tables.coeffs, points, norms))
     normals = np.array([p.normal for p in planes])
     dists = np.array([p.distance for p in planes])
+    # exact floats, not orbits: one orbit's faces can lie an ulp apart
+    face_distances = tuple(sorted({p.distance for p in planes}))
+    slot = {d: k for k, d in enumerate(face_distances)}
+    face_slots = tuple(slot[p.distance] for p in planes)
 
     # any three faces of a vertex are independent and fix its position
     faces = tables.vertex_faces
@@ -842,6 +858,8 @@ def _build_arrangement(delta: float) -> CapArrangement:
     return CapArrangement(delta=delta,
                           degenerate=degenerate,
                           planes=planes,
+                          face_distances=face_distances,
+                          face_slots=face_slots,
                           edges=tuple(edges),
                           vertices=vertices,
                           pair_orbits=pair_orbits,
@@ -859,11 +877,15 @@ def build_cap_arrangement(delta: float) -> CapArrangement:
 
 def _inclusion_exclusion(arr: CapArrangement, r: float) -> float:
     """Raw cap sum over the faces, edges and three-valent vertices, one
-    evaluation per orbit times its size; exact below the covering radius."""
+    cap per distinct face distance and one evaluation per edge or vertex
+    orbit times its size; exact below the covering radius."""
     vol = _unit_ball_volume(3) * r ** 3
-    for p in arr.planes:
-        if p.distance < r:
-            vol -= spherical_cap_volume(r, p.distance)
+    # a cap at d >= r is 0.0, and vol - 0.0 == vol: one cap per distinct
+    # distance, subtracted once per face in plane order, gives the bits
+    # of one cap per face
+    caps = [spherical_cap_volume(r, d) for d in arr.face_distances]
+    for k in arr.face_slots:
+        vol -= caps[k]
     for orb in arr.pair_orbits:
         if orb.activation < r:
             pi, pj = (arr.planes[t] for t in orb.members[0])
@@ -890,7 +912,7 @@ def voronoi_ball_volume_3d(delta: float, r: float) -> float:
     if r >= covering_radius(lat):
         return delta
     arr = build_cap_arrangement(delta)
-    if r <= min(p.distance for p in arr.planes):
+    if r <= arr.face_distances[0]:
         return _unit_ball_volume(3) * r ** 3
     return _inclusion_exclusion(arr, r)
 

@@ -24,7 +24,6 @@ candidate and the nearest one gives the distance (see overlatt._kernels).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -107,6 +106,10 @@ def _run_chunks(worker, samples: int, seed: int, par: int | None):
     if threads == 1 or len(jobs) == 1:
         results = [one(j) for j in jobs]
     else:
+        # imported here, so that importing overlatt loads neither
+        # concurrent.futures nor the logging it pulls in
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(one, jobs))
     totals = results[0]

@@ -895,6 +895,43 @@ class TestRegimeTables:
             assert orb.activation == edge_distance[orb.members[0]]
 
 
+def _per_plane_union(arr, r):
+    """The inclusion-exclusion with one cap evaluation per face, as it
+    was before faces of equal distance shared one cap."""
+    vol = V3 * r ** 3
+    for p in arr.planes:
+        if p.distance < r:
+            vol -= spherical_cap_volume(r, p.distance)
+    for orb in arr.pair_orbits:
+        if orb.activation < r:
+            pi, pj = (arr.planes[t] for t in orb.members[0])
+            vol += orb.size * cap_pair_intersection_volume(
+                r, (pi.normal, pi.distance), (pj.normal, pj.distance))
+    for orb in arr.triple_orbits:
+        if orb.activation < r:
+            pi, pj, pk = (arr.planes[t] for t in orb.members[0])
+            vol -= orb.size * cap_triple_intersection_volume(
+                r, (pi.normal, pi.distance), (pj.normal, pj.distance),
+                (pk.normal, pk.distance))
+    return vol
+
+
+FACE_DELTAS = tuple(float(d) for d in np.geomspace(0.05, 20.0, 60)) + (
+    1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 1e-8, 1.0 + 1e-8)
+
+
+class TestFaceDistances:
+    @pytest.mark.parametrize("delta", FACE_DELTAS)
+    def test_union_equals_one_cap_per_face_bit_for_bit(self, delta):
+        arr = build_cap_arrangement(delta)
+        assert list(arr.face_distances) == sorted(
+            {p.distance for p in arr.planes})
+        lat = DistortedLattice(3, delta)
+        for r in np.linspace(packing_radius(lat), covering_radius(lat), 40):
+            r = float(r)
+            assert _inclusion_exclusion(arr, r) == _per_plane_union(arr, r)
+
+
 def test_import_does_not_load_scipy():
     import overlatt
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from overlatt import measures, quality
+from overlatt import geometry3d, measures, quality
 from overlatt.geometry2d import covering_overlap_2d
 from overlatt.geometry3d import voronoi_ball_volume_3d
 from overlatt.lattice import (
@@ -231,6 +231,27 @@ class TestVolumeInversionContract:
         assert flat.call_count <= 2400
         assert solid.call_count == 272
         assert all(args[0].n == 3 for args, _ in solid.call_args_list)
+
+    def test_union_evaluates_one_cap_per_face_distance(self):
+        # a deterministic cost guard: each 3D union of the theorems pass
+        # evaluates spherical_cap_volume once per distinct face distance
+        # (1 to 5: faces of one orbit can lie an ulp apart), not per face
+        inner = geometry3d._inclusion_exclusion
+        counted_caps = mock.patch.object(
+            geometry3d, "spherical_cap_volume",
+            wraps=geometry3d.spherical_cap_volume)
+        excess = []
+
+        def counted(arr, r):
+            before = caps.call_count
+            vol = inner(arr, r)
+            excess.append(caps.call_count - before - len(arr.face_distances))
+            return vol
+
+        with counted_caps as caps, mock.patch.object(
+                geometry3d, "_inclusion_exclusion", side_effect=counted):
+            assert run_suite("theorems").passed
+        assert excess and max(excess) <= 0
 
     def test_past_the_covering_overlap_the_root_is_closed_form(self):
         # the bracket is the two floats around (delta (1 + omega) /
