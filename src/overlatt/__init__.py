@@ -19,7 +19,6 @@ from .geometry2d import (
     CriticalRadii2D,
     covering_overlap_2d,
     critical_radii_2d,
-    segment_angles,
     vol_overlap_2d,
     voronoi_ball_area,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "mc_volume_region",
     "CriticalRadii2D",
     "critical_radii_2d",
-    "segment_angles",
     "voronoi_ball_area",
     "vol_overlap_2d",
     "covering_overlap_2d",

@@ -49,16 +49,12 @@ def _critical_radii_2d(delta: float) -> CriticalRadii2D:
     return CriticalRadii2D(r1, r2, r3, delta)
 
 
-def segment_angles(delta: float, r: float) -> tuple[float, float]:
+def _segment_angles(rad: CriticalRadii2D, r: float) -> tuple[float, float]:
     """Central angles of the two segment families cut off at radius r.
 
     Theta_i = 2 arccos(r_i / r) once r exceeds the edge distance r_i, else 0.
     """
-    _check_radius(r)
-    return _segment_angles(critical_radii_2d(delta), r)
 
-
-def _segment_angles(rad: CriticalRadii2D, r: float) -> tuple[float, float]:
     def angle(ri: float) -> float:
         if r <= ri:
             return 0.0

@@ -8,7 +8,6 @@ density derivative along the volume-measure optimum sits beside the
 inversion it calls.
 """
 
-import bisect
 import enum
 import math
 from typing import NamedTuple
@@ -62,9 +61,6 @@ TIE_TOL = 1e-9
 # tied delta values closer than this collapse to one representative
 DEDUPE_TOL = 1e-6
 RADIUS_TOL = 1e-12
-# crossover_omega tells two densities apart once their intervals lie
-# this far apart, relative; far above the ulp-level error of r ** n
-SEPARATION_TOL = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
 _THIRD = 1.0 / math.sqrt(3.0)
@@ -76,7 +72,7 @@ class QualityMode(enum.Enum):
 
 
 class NoCrossoverError(RuntimeError):
-    """The density difference did not change sign exactly once."""
+    """The density difference did not change sign exactly once, strictly."""
 
 
 class OutOfBranchError(ValueError):
@@ -165,23 +161,16 @@ def max_radius_for_overlap(lat: DistortedLattice,
       its target closes the bracket, and a target that rounds onto lo
       is closed by a probe RADIUS_TOL / 2 above lo (about 8
       evaluations instead of 40);
-    - n = 3: ITP (Oliveira & Takahashi, ACM TOMS 47, 2020; k1 = 0.2 /
-      (hi - lo), k2 = 2, n0 = 1), a regula falsi step truncated towards
-      the midpoint by k1 (hi - lo)^2 and projected into the interval
-      that keeps the bisection worst case (about 12 evaluations).
+    - n = 3: the ITP steps of `_itp` (about 12 evaluations).
     Every step keeps vol_overlap(lo) <= omega < vol_overlap(hi) and the
     loop stops at hi - lo <= max(RADIUS_TOL, ulp(hi)), returning lo:
     within RADIUS_TOL of the root, or its float neighbour where floats
-    are spaced wider than that (radii above 2^13).  ITP never evaluates
-    more than ceil(log2((hi - lo) / RADIUS_TOL)) + 1 times, one more
-    than bisection of the same bracket.  The Newton steps carry no such
-    guarantee for an arbitrary function, but the halving rule bounds
-    them, a slope of zero bisects throughout, and on the convex 2D
-    overlap they stay far under that bound: at most 12 evaluations per
-    inversion, the doubling included, over 360 seeded inversions.
-    The brackets are those of a fresh memo,
-    `_OverlapMemo(lat).brackets(omega)`; crossover_omega steps through
-    the same method from the tightest start bracket its warm memos hold.
+    are spaced wider than that (radii above 2^13).  The Newton steps
+    carry no worst-case bound for an arbitrary function, but the
+    halving rule bounds them, a slope of zero bisects throughout, and
+    on the convex 2D overlap they stay far under the bisection count:
+    at most 12 evaluations per inversion, the doubling included, over
+    360 seeded inversions.  `_volume_brackets` yields the brackets.
 
     The distance measure works in any dimension n >= 2.  The volume
     measure uses the closed-form union of n = 2 and 3; for n > 3 it
@@ -195,7 +184,7 @@ def max_radius_for_overlap(lat: DistortedLattice,
         raise ValueError(f"unknown overlap measure {measure!r}")
     if omega == 0.0:
         return packing_radius(lat)
-    for lo, _ in _OverlapMemo(lat).brackets(omega):
+    for lo, _ in _volume_brackets(lat, omega):
         pass
     return lo
 
@@ -206,141 +195,129 @@ def _covering_overlap(lat: DistortedLattice) -> float:
     return _density(lat, covering_radius(lat)) - 1.0
 
 
-class _OverlapMemo:
-    """vol_overlap of one lattice at every radius evaluated so far, and
-    the volume inversion (`brackets`) that evaluates through it.
+def _itp(f, lo: float, f_lo: float, hi: float, f_hi: float):
+    """Yield (lo, f_lo, hi, f_hi) after each ITP step on a root of f,
+    from f_lo = f(lo) <= 0 < f_hi = f(hi), until hi - lo <= max(RADIUS_TOL,
+    ulp(hi)).
 
-    The overlap is monotone in r, so each stored radius brackets the
-    inversion of every later omega.  The packing radius is stored from
-    the start with its exact overlap 0.  For n = 2 each radius also
-    keeps the overlap's r-slope, for the Newton steps; n = 3 stores NaN
-    there, as it has no closed-form slope.
+    ITP (Oliveira & Takahashi, ACM TOMS 47, 2020; k1 = 0.2 / (hi - lo),
+    k2 = 2, n0 = 1) takes a regula falsi step, truncates it towards the
+    midpoint by k1 (hi - lo)^2 and projects it into the interval that
+    keeps the bisection worst case.  It needs no derivative and never
+    evaluates f more than ceil(log2((hi - lo) / RADIUS_TOL)) + 1 times,
+    one more than bisection of the same bracket.  Every step keeps
+    f(lo) <= 0 < f(hi), and each bracket nests in the one before.
     """
-
-    def __init__(self, lat: DistortedLattice):
-        self.lat = lat
-        self.pack = packing_radius(lat)
-        self.radii = [self.pack]  # sorted and distinct
-        self.values = [0.0]
-        # the overlap rises from the packing radius with slope 0
-        self.slopes = [0.0]
-
-    def evaluate(self, r: float) -> tuple[float, float]:
-        """(vol_overlap(lat, r), its r-slope), evaluated once per radius."""
-        i = bisect.bisect_left(self.radii, r)
-        if i < len(self.radii) and self.radii[i] == r:
-            return self.values[i], self.slopes[i]
-        if self.lat.n == 2:
-            value, slope = _vol_overlap_and_slope(self.lat, r)
+    k1 = 0.2 / (hi - lo)
+    # bound on the bracket width after the next step: RADIUS_TOL 2^m at
+    # least hi - lo, halved each step (eps 2^(n_max - j) with n0 = 1)
+    reach = RADIUS_TOL
+    while reach < hi - lo:
+        reach *= 2.0
+    while hi - lo > max(RADIUS_TOL, math.ulp(hi)):
+        width = hi - lo
+        mid = 0.5 * (lo + hi)
+        falsi = lo - f_lo * width / (f_hi - f_lo)
+        sigma = 1.0 if mid >= falsi else -1.0
+        step = k1 * width * width
+        x = falsi + sigma * step if step <= abs(mid - falsi) else mid
+        # the margin absorbs the rounding of mid and x
+        radius = max(reach - 0.5 * width - 2.0 * math.ulp(hi), 0.0)
+        if abs(x - mid) > radius:
+            x = mid - sigma * radius
+        reach *= 0.5
+        if not lo < x < hi:
+            # a step can round onto an end, whose value is known
+            x = mid
+        f_x = f(x)
+        if f_x <= 0.0:
+            lo, f_lo = x, f_x
         else:
-            value, slope = vol_overlap(self.lat, r), math.nan
-        self.radii.insert(i, r)
-        self.values.insert(i, value)
-        self.slopes.insert(i, slope)
-        return value, slope
+            hi, f_hi = x, f_x
+        yield lo, f_lo, hi, f_hi
 
-    def overlap(self, r: float) -> float:
-        """vol_overlap(lat, r), evaluated once per radius."""
-        return self.evaluate(r)[0]
 
-    def bracket(self, omega: float):
-        """(lo, f_lo, hi, f_hi) with f = overlap - omega, f_lo <= 0 < f_hi.
+def _volume_brackets(lat: DistortedLattice, omega: float):
+    """Yield the volume inversion's brackets (lo, hi) for omega > 0.
 
-        lo and hi are neighbours in the memo; hi and f_hi are inf when
-        no stored overlap exceeds omega.  The binary search keeps
-        values[i - 1] <= omega < values[i] even where rounding breaks
-        the monotonicity, and values[0] = 0 <= omega keeps i >= 1.
-        """
-        i = bisect.bisect_right(self.values, omega)
-        lo, f_lo = self.radii[i - 1], self.values[i - 1] - omega
-        if i == len(self.radii):
-            return lo, f_lo, math.inf, math.inf
-        return lo, f_lo, self.radii[i], self.values[i] - omega
+    The start bracket is settled in closed form when omega reaches the
+    covering overlap, and doubles from 2 * packing radius until the
+    overlap there exceeds omega otherwise.  The first bracket yielded is
+    that start, then one follows every Newton (n = 2) or ITP (n = 3)
+    step; each keeps overlap(lo) <= omega < overlap(hi) and nests in the
+    one before.  The last lo is max_radius_for_overlap's radius, and no
+    radius is evaluated twice.  Raises NoClosedFormError for n > 3,
+    where the overlap has no closed form.
+    """
+    if lat.n > 3:
+        raise NoClosedFormError(
+            "the quality layer's volume measure needs the closed-form "
+            f"union of n = 2 or 3, got n = {lat.n}")
 
-    def brackets(self, omega: float):
-        """Yield the volume inversion's brackets (lo, hi) for omega > 0.
+    def f(r: float) -> tuple[float, float]:
+        # (overlap - omega, its r-slope); n = 3 has no closed-form slope
+        if lat.n == 2:
+            value, slope = _vol_overlap_and_slope(lat, r)
+        else:
+            value, slope = vol_overlap(lat, r), math.nan
+        return value - omega, slope
 
-        The start bracket is the tightest one the memo holds, [packing
-        radius, inf] when it is fresh.  An infinite hi is settled in
-        closed form when omega reaches the covering overlap, and doubles
-        from 2 * packing radius until the overlap there exceeds omega
-        otherwise.  The first bracket yielded is the start after that,
-        then one follows every Newton (n = 2) or ITP (n = 3) step; each
-        keeps overlap(lo) <= omega < overlap(hi) and nests in the one
-        before.  On a fresh memo the last lo is max_radius_for_overlap's
-        radius.  Raises NoClosedFormError for n > 3, where the overlap
-        has no closed form.
-        """
-        lat = self.lat
-        if lat.n > 3:
-            raise NoClosedFormError(
-                "the quality layer's volume measure needs the closed-form "
-                f"union of n = 2 or 3, got n = {lat.n}")
-        lo, f_lo, hi, f_hi = self.bracket(omega)
-        if hi == math.inf:
-            if _covering_overlap(lat) <= omega:
-                # past the covering radius the overlap is density - 1:
-                # step from its root to the float where f changes sign
-                r = (lat.delta * (1.0 + omega)
-                     / _unit_ball_volume(lat.n)) ** (1.0 / lat.n)
-                below = self.overlap(r) <= omega
-                while (self.overlap(r) <= omega) == below:
-                    r = math.nextafter(r, math.inf if below else 0.0)
-            else:
-                r = 2.0 * self.pack
-                while r <= lo or self.overlap(r) <= omega:
-                    r *= 2.0
-            lo, f_lo, hi, f_hi = self.bracket(omega)
-        s_hi = self.evaluate(hi)[1]
-        yield lo, hi
-        if lat.n == 3:
-            k1 = 0.2 / (hi - lo)
-            # bound on the bracket width after the next ITP step:
-            # RADIUS_TOL 2^m at least hi - lo, halved each step
-            # (eps 2^(n_max - j) with n0 = 1)
-            reach = RADIUS_TOL
-            while reach < hi - lo:
-                reach *= 2.0
-        last = math.inf  # the Newton step before
-        while hi - lo > max(RADIUS_TOL, math.ulp(hi)):
-            width = hi - lo
-            mid = 0.5 * (lo + hi)
-            if lat.n == 2:
-                # Newton from hi: the overlap is convex, so the target
-                # stays above the root, and a target on lo is the root
-                # up to rounding
-                step = f_hi / s_hi if s_hi > 0.0 else math.inf
-                x = hi - step
-                if lo - 0.25 * RADIUS_TOL < x <= lo:
-                    x = lo + 0.5 * RADIUS_TOL
-                elif step > min(0.5 * last, width):
-                    # the step leaves the bracket or fails to halve
-                    x = mid
-                else:
-                    last = step
-                    if step < 0.25 * RADIUS_TOL:
-                        # a probe below the target closes the bracket
-                        x -= 0.5 * RADIUS_TOL
-            else:
-                falsi = lo - f_lo * width / (f_hi - f_lo)
-                sigma = 1.0 if mid >= falsi else -1.0
-                step = k1 * width * width
-                x = falsi + sigma * step if step <= abs(mid - falsi) else mid
-                # the margin absorbs the rounding of mid and x
-                radius = max(reach - 0.5 * width - 2.0 * math.ulp(hi), 0.0)
-                if abs(x - mid) > radius:
-                    x = mid - sigma * radius
-                reach *= 0.5
-            if not lo < x < hi:
-                # a step can round onto an end, whose overlap is known
-                x = mid
-            f_x, s_x = self.evaluate(x)
-            f_x -= omega
-            if f_x <= 0.0:
-                lo, f_lo = x, f_x
-            else:
-                hi, f_hi, s_hi = x, f_x, s_x
+    if _covering_overlap(lat) <= omega:
+        # past the covering radius the overlap is density - 1: step from
+        # its root to the float where f changes sign
+        r = (lat.delta * (1.0 + omega)
+             / _unit_ball_volume(lat.n)) ** (1.0 / lat.n)
+        f_r, s_r = f(r)
+        below = f_r <= 0.0
+        while True:
+            x = math.nextafter(r, math.inf if below else 0.0)
+            f_x, s_x = f(x)
+            if (f_x <= 0.0) != below:
+                break
+            r, f_r, s_r = x, f_x, s_x
+        if below:
+            lo, f_lo, hi, f_hi, s_hi = r, f_r, x, f_x, s_x
+        else:
+            lo, f_lo, hi, f_hi, s_hi = x, f_x, r, f_r, s_r
+    else:
+        # the overlap is 0 at the packing radius
+        lo, f_lo = packing_radius(lat), -omega
+        hi = 2.0 * lo
+        f_hi, s_hi = f(hi)
+        while f_hi <= 0.0:
+            lo, f_lo = hi, f_hi
+            hi *= 2.0
+            f_hi, s_hi = f(hi)
+    yield lo, hi
+    if lat.n == 3:
+        for lo, _, hi, _ in _itp(lambda r: f(r)[0], lo, f_lo, hi, f_hi):
             yield lo, hi
+        return
+    last = math.inf  # the Newton step before
+    while hi - lo > max(RADIUS_TOL, math.ulp(hi)):
+        # Newton from hi: the overlap is convex, so the target stays
+        # above the root, and a target on lo is the root up to rounding
+        step = f_hi / s_hi if s_hi > 0.0 else math.inf
+        x = hi - step
+        if lo - 0.25 * RADIUS_TOL < x <= lo:
+            x = lo + 0.5 * RADIUS_TOL
+        elif step > min(0.5 * last, hi - lo):
+            # the step leaves the bracket or fails to halve
+            x = 0.5 * (lo + hi)
+        else:
+            last = step
+            if step < 0.25 * RADIUS_TOL:
+                # a probe below the target closes the bracket
+                x -= 0.5 * RADIUS_TOL
+        if not lo < x < hi:
+            # a step can round onto an end, whose overlap is known
+            x = 0.5 * (lo + hi)
+        f_x, s_x = f(x)
+        if f_x <= 0.0:
+            lo = x
+        else:
+            hi, f_hi, s_hi = x, f_x, s_x
+        yield lo, hi
 
 
 def density_derivative_2d(delta: float, omega: float) -> float:
@@ -583,11 +560,18 @@ def optimize_delta(query: QualityQuery) -> OptimizeResult:
     Covering, x = delta^2: the log-slope vanishes only where (2n-1)(n+1)x^2
     + (n^2+2)x - (n+1) = 0 (delta <= 1), x = n+1 (odd n, delta >= 1) or
     (n-1)x^2 - (n^2-2)x - (n+1) = 0 (even n, delta >= 1), each with exactly
-    one positive root, 1/(n+1) or n+1.  The volume measure is checked, not
-    proved: its slope changes sign inside no branch, beyond 1e-10, on 3,000
-    log-spaced deltas over [0.05, 20] at 15 budgets below the least
-    covering overlap, nor on 1,500 at 8 above it, off the plateau
-    (tests/test_quality.py checks a coarser grid).
+    one positive root, 1/(n+1) or n+1.  The 2D volume measure has the
+    exact slope density_derivative_2d on 0 < delta < 1, and takes the same
+    value at delta and 1/delta.  Of its three branches two have an evident
+    sign: pi s / (2 delta half_t2) > 0 below 1/sqrt(3), and a factor
+    delta^2 - 1 < 0 above it.  The third, both segment families active,
+    has the numerator (delta^2 - 1) t + 2 delta u s; that it is > 0 below
+    1/sqrt(3) and < 0 above is checked, not proved, on 600 deltas x 11
+    budgets below the covering overlap (tests/test_quality.py).  The 3D
+    volume measure is checked, not proved: its slope changes sign inside
+    no branch, beyond 1e-10, on 3,000 log-spaced deltas over [0.05, 20] at
+    15 budgets below the least covering overlap, nor on 1,500 at 8 above
+    it, off the plateau (tests/test_quality.py checks a coarser grid).
     """
     _validate_query(query)
     res = _plateau_optimum(query)
@@ -603,103 +587,60 @@ def optimize_delta(query: QualityQuery) -> OptimizeResult:
                           _distinct(d for d, _ in tied), False, ())
 
 
-def _packing_density_bounds(memo: _OverlapMemo, omega: float):
-    """Yield nested intervals (lo, hi) that hold the volume-measure
-    packing density at budget omega up to the margin crossover_omega
-    adds: one per bracket of the inversion through the memo, or the
-    exact value as (d, d) at omega = 0."""
-    lat = memo.lat
-    if omega == 0.0:
-        d = _density(lat, memo.pack)
-        yield d, d
-        return
-    for r_lo, r_hi in memo.brackets(omega):
-        yield _density(lat, r_lo), _density(lat, r_hi)
-
-
 def crossover_omega(n: int = 3, delta_a: float = 0.5, delta_b: float = 2.0,
-                    omega_hi: float = 0.5, tol: float = 1e-6,
-                    grid: int = 51) -> float:
+                    omega_hi: float = 0.5, grid: int = 51) -> float:
     """Budget at which lattice a overtakes lattice b in packing quality.
 
-    Scans the volume-measure density difference qual(b) - qual(a) over
-    [0, omega_hi] and requires exactly one sign change, then bisects it
-    to `tol`.  Raises NoCrossoverError when the count is not one, and
-    ValueError unless tol and omega_hi are finite and > 0 and grid is an
-    integer >= 2.  n is 2 or 3, where the volume overlap has a closed
+    With k = (delta_b / delta_a)^(1/n), lattice b at radius k r has the
+    density of lattice a at radius r.  The overlap is density minus
+    union, so at the budget omega = vol_overlap(a, r) b packs denser
+    than a exactly when g(r) = union(b, k r) - union(a, r) > 0: b then
+    has less overlap than omega at k r, and its overlap increases in r.
+    The crossover is the root r* of g, and the answer is
+    vol_overlap(a, r*).
+
+    g is scanned at `grid` evenly spaced radii from max(packing radius
+    of a, packing radius of b / k), below which b has no overlap at k r
+    and so leads, to max_radius_for_overlap(a, omega_hi), the call's
+    one inversion.  The sign of g names the leader: b, a, or neither.
+    Once r reaches both covering radii (b's divided by k) both unions
+    are 1 and g is exactly 0: a tie, not a crossover.  The sign must
+    change exactly once on the scan, strictly, from one lattice to the
+    other; otherwise NoCrossoverError is raised, so a scan that ends in
+    the tie raises even after a strict change.  ValueError is raised
+    unless omega_hi is finite and > 0 and grid is an integer >= 2.  The
+    ITP steps of `_itp` close the changing interval down to
+    max(RADIUS_TOL, ulp) in r, and the root is read off the end where
+    |g| is smaller.  n is 2 or 3, where the volume overlap has a closed
     form; other dimensions have none and raise NoClosedFormError.
-
-    Both only read the sign of the difference, so each evaluation steps
-    the two inversions' brackets in turn, always the one whose
-    density interval [density(lo), density(hi)] is wider, and stops as
-    soon as the two intervals lie more than a margin apart.  Each
-    lattice keeps one overlap memo for the call: every radius is
-    evaluated at most once, and each inversion starts from the tightest
-    bracket the radii evaluated so far give (the overlap is monotone in
-    r), not from the doubling of the packing radius.
-
-    This is exact.  qual_packing's radius r* is the last lo of the
-    brackets of a fresh memo, whose last bracket is at most RADIUS_TOL wide,
-    so r* lies in (lo - RADIUS_TOL, hi) for every memo bracket.  The
-    density c r^n has slope n * density / r, so the margin
-    max(a_hi, b_hi) * (SEPARATION_TOL + n * RADIUS_TOL / r_min), with
-    r_min the smaller packing radius, covers that RADIUS_TOL as well as
-    the ulp-level rounding of r ** n.  Where the intervals never
-    separate (equal or nearly equal densities), the exact difference
-    comes from two fresh max_radius_for_overlap calls, not from the
-    memo's own last lo, so every sign the scan and the bisection see is
-    that of the full difference qual_packing gives.
     """
-    _check_delta(tol, "tol")
     grid = _check_int("grid", grid, 2)
     _check_delta(omega_hi, "omega_hi")
     lat_a = DistortedLattice(n, delta_a)
     lat_b = DistortedLattice(n, delta_b)
-    memos = (_OverlapMemo(lat_a), _OverlapMemo(lat_b))
-    rel_margin = (SEPARATION_TOL
-                  + n * RADIUS_TOL / min(memo.pack for memo in memos))
+    k = (delta_b / delta_a) ** (1.0 / n)
 
-    def exact(lat: DistortedLattice, omega: float) -> float:
-        r = max_radius_for_overlap(lat, OverlapMeasure.VOLUME_BASED, omega)
-        return _density(lat, r)
+    def g(r: float) -> float:
+        return union_fraction(lat_b, k * r) - union_fraction(lat_a, r)
 
-    def diff(omega: float) -> float:
-        # +-1.0 once the sign is decided, else the exact difference
-        sides = [_packing_density_bounds(memo, omega) for memo in memos]
-        bounds = [next(side) for side in sides]
-        while True:
-            (a_lo, a_hi), (b_lo, b_hi) = bounds
-            margin = rel_margin * max(a_hi, b_hi)
-            if b_lo - a_hi > margin:
-                return 1.0
-            if a_lo - b_hi > margin:
-                return -1.0
-            # advance the wider interval, or the other once it is done
-            order = (0, 1) if a_hi - a_lo >= b_hi - b_lo else (1, 0)
-            for i in order:
-                step = next(sides[i], None)
-                if step is not None:
-                    bounds[i] = step
-                    break
-            else:
-                return exact(lat_b, omega) - exact(lat_a, omega)
-
-    omegas = [omega_hi * i / (grid - 1) for i in range(grid)]
-    values = [diff(w) for w in omegas]
-    flips = [i for i in range(len(values) - 1)
-             if values[i] > 0.0 >= values[i + 1]
-             or values[i] < 0.0 <= values[i + 1]]
-    if len(flips) != 1:
+    start = max(packing_radius(lat_a), packing_radius(lat_b) / k)
+    end = max_radius_for_overlap(lat_a, OverlapMeasure.VOLUME_BASED,
+                                 omega_hi)
+    radii = [start + (end - start) * i / (grid - 1) for i in range(grid)]
+    values = [g(r) for r in radii]
+    # the sign of g names the leader: b, a, or neither, a tie
+    signs = [(v > 0.0) - (v < 0.0) for v in values]
+    changes = [i for i in range(grid - 1) if signs[i] != signs[i + 1]]
+    strict = sum(signs[i] == -signs[i + 1] for i in changes)
+    if len(changes) != 1 or strict != 1:
         raise NoCrossoverError(
-            f"expected exactly one sign change on [0, {omega_hi}], "
-            f"found {len(flips)}")
-    lo, hi = omegas[flips[0]], omegas[flips[0] + 1]
-    flo = values[flips[0]]
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = diff(mid)
-        if (flo > 0.0) == (fmid > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            f"expected exactly one sign change on [0, {omega_hi}], found "
+            f"{strict} and {len(changes) - strict} to or from a tie")
+    i = changes[0]
+    # orient g so that it rises through the root, as _itp expects
+    sign = 1.0 if values[i] < 0.0 else -1.0
+    lo, f_lo, hi, f_hi = (radii[i], sign * values[i],
+                          radii[i + 1], sign * values[i + 1])
+    for lo, f_lo, hi, f_hi in _itp(lambda r: sign * g(r), lo, f_lo, hi, f_hi):
+        pass
+    return vol_overlap(lat_a, lo if -f_lo <= f_hi else hi)

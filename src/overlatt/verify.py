@@ -156,14 +156,23 @@ def _theorem_checks() -> list[CheckResult]:
             passed=0.08 <= omega_star <= 0.12,
             observed=f"{omega_star:.6g}",
             expected="in [0.08, 0.12]"))
+        densities = []
         for delta in (0.5, 2.0):
             lat = DistortedLattice(3, delta)
             dens = density(lat, max_radius_for_overlap(lat, vol, omega_star))
+            densities.append(dens)
             checks.append(CheckResult(
                 name=f"density at crossover delta={delta}",
                 passed=1.01 <= dens <= 1.05,
                 observed=f"{dens:.6g}",
                 expected="in [1.01, 1.05]"))
+        # the crossover is the budget at which both pack equally densely
+        gap = abs(densities[0] - densities[1]) / max(densities)
+        checks.append(CheckResult(
+            name="densities agree at crossover",
+            passed=gap <= 1e-9,
+            observed=f"relative gap {gap:.3g}",
+            expected="relative gap <= 1e-09"))
     except NoCrossoverError as exc:
         checks.append(CheckResult(
             name="crossover budget bcc vs fcc", passed=False,

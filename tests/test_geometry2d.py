@@ -8,9 +8,9 @@ import pytest
 from overlatt.geometry2d import (
     CriticalRadii2D,
     _area_and_slope,
+    _segment_angles,
     covering_overlap_2d,
     critical_radii_2d,
-    segment_angles,
     vol_overlap_2d,
     voronoi_ball_area,
     _critical_radii_2d,
@@ -105,12 +105,16 @@ class TestCriticalRadii:
         assert _critical_radii_2d.cache_info().misses == 1
 
 
+def angles(delta, r):
+    return _segment_angles(critical_radii_2d(delta), r)
+
+
 class TestSegmentAngles:
     def test_below_both_radii(self):
-        assert segment_angles(1.0, 0.5) == (0.0, 0.0)
+        assert angles(1.0, 0.5) == (0.0, 0.0)
 
     def test_first_family_only(self):
-        t1, t2 = segment_angles(1.0, 1.0 / math.sqrt(2.0))
+        t1, t2 = angles(1.0, 1.0 / math.sqrt(2.0))
         assert t1 == pytest.approx(math.pi / 2.0, abs=1e-12)
         assert t2 == 0.0
 
@@ -118,14 +122,10 @@ class TestSegmentAngles:
         # r cos(theta_i / 2) must recover the edge distance r_i
         rad = critical_radii_2d(0.5)
         r = 0.42
-        t1, t2 = segment_angles(0.5, r)
+        t1, t2 = angles(0.5, r)
         assert r * math.cos(t1 / 2.0) == pytest.approx(rad.r1, abs=1e-12)
         assert r * math.cos(t2 / 2.0) == pytest.approx(rad.r2, abs=1e-12)
         assert (t1, t2) == pytest.approx((0.69279, 1.14417), abs=5e-3)
-
-    def test_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            segment_angles(0.5, -0.1)
 
 
 class TestVoronoiBallArea:
@@ -138,14 +138,14 @@ class TestVoronoiBallArea:
         assert voronoi_ball_area(0.3, 5.0) == 0.3
 
     def test_segment_band_uses_segment_angles(self):
-        # bit for bit the area formula over the public segment angles
+        # bit for bit the area formula over the segment angles
         for delta in np.linspace(0.05, 1.0, 20):
             delta = float(delta)
             rad = critical_radii_2d(delta)
             lo = min(rad.r1, rad.r2)
             for r in np.linspace(lo, rad.r3, 23)[1:-1]:
                 r = float(r)
-                t1, t2 = segment_angles(delta, r)
+                t1, t2 = angles(delta, r)
                 assert voronoi_ball_area(delta, r) == r * r * (
                     math.pi - 2.0 * t1 - t2
                     + 2.0 * math.sin(t1) + math.sin(t2))

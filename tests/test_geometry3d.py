@@ -945,6 +945,22 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
+def test_theorems_suite_loads_no_test_extra():
+    # scipy and mpmath are test extras: the crossover root and every
+    # other step of the suite run on the package's own code
+    import overlatt
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        overlatt.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, overlatt; assert overlatt.run_suite('theorems').passed;"
+         " print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 class TestVoronoiBallVolume:
     def test_ball_regime(self):
         for delta in (0.4, 1.0, 1.7):

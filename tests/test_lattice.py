@@ -20,7 +20,6 @@ from overlatt.lattice import (
 from overlatt.geometry2d import (
     covering_overlap_2d,
     critical_radii_2d,
-    segment_angles,
     vol_overlap_2d,
     voronoi_ball_area,
 )
@@ -260,7 +259,6 @@ class TestSharedChecks:
     DELTA_ENTRIES = {
         "DistortedLattice": lambda d: DistortedLattice(3, d),
         "critical_radii_2d": lambda d: critical_radii_2d(d),
-        "segment_angles": lambda d: segment_angles(d, 0.5),
         "voronoi_ball_area": lambda d: voronoi_ball_area(d, 0.5),
         "vol_overlap_2d": lambda d: vol_overlap_2d(d, 0.5),
         "covering_overlap_2d": lambda d: covering_overlap_2d(d),
@@ -272,7 +270,6 @@ class TestSharedChecks:
     }
 
     RADIUS_ENTRIES = {
-        "segment_angles": lambda r: segment_angles(0.5, r),
         "voronoi_ball_area": lambda r: voronoi_ball_area(0.5, r),
         "vol_overlap_2d": lambda r: vol_overlap_2d(0.5, r),
         "spherical_cap_volume": lambda r: spherical_cap_volume(r, 0.1),
@@ -316,7 +313,6 @@ class TestSharedChecks:
     }
 
     TOLERANCE_ENTRIES = {
-        "crossover_omega tol": ("tol", lambda t: crossover_omega(tol=t)),
         "crossover_omega omega_hi": ("omega_hi",
                                      lambda t: crossover_omega(omega_hi=t)),
         "optimize_delta delta_range": ("delta_range", lambda t: (

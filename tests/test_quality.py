@@ -34,6 +34,7 @@ from overlatt.quality import (
     QualityQuery,
     QualityResult,
     crossover_omega,
+    density_derivative_2d,
     max_radius_for_overlap,
     optimize_delta,
     qual_covering,
@@ -225,11 +226,13 @@ class TestVolumeInversionContract:
     def test_overlap_evaluation_budget(self):
         # a deterministic cost guard: the theorems pass evaluates the 2D
         # overlap 3,459 times under ITP and 1,862 times with Newton
-        # steps; the 272 3D evaluations go through vol_overlap
+        # steps; the 37 3D evaluations go through vol_overlap (272 while
+        # crossover_omega bisected over nested inversions; its root now
+        # reads union_fraction, which test_vol_overlap_call_budget counts)
         with counted_overlap(2) as flat, counted_overlap(3) as solid:
             assert run_suite("theorems").passed
         assert flat.call_count <= 2400
-        assert solid.call_count == 272
+        assert solid.call_count == 37
         assert all(args[0].n == 3 for args, _ in solid.call_args_list)
 
     def test_union_evaluates_one_cap_per_face_distance(self):
@@ -560,12 +563,12 @@ class TestOptimizeDeltaBreakpoints:
     def test_objective_is_monotone_between_breakpoints(self):
         # optimize_delta evaluates only the range ends and the
         # breakpoints because each objective rises, falls, rises and
-        # falls on the four branches; volume budgets above the least
-        # covering overlap are checked off their plateau
+        # falls on the four branches; 3D volume budgets above the least
+        # covering overlap are checked off their plateau, and the 2D
+        # volume measure by the sign of its exact slope (below)
         queries = [q for n in (2, 3, 4, 5) for omega in (0.0, 0.5)
                    for q in (_pack(n, DIST, omega), _cover(n, omega))]
-        queries += [_pack(n, VOL, FLAT[n] * s) for n in (2, 3)
-                    for s in (0.3, 0.9, 1.1, 2.0)]
+        queries += [_pack(3, VOL, FLAT[3] * s) for s in (0.3, 0.9, 1.1, 2.0)]
         for query in queries:
             plateau = quality._plateau_optimum(query)
             ranges = plateau.plateau_ranges if plateau else ()
@@ -578,6 +581,28 @@ class TestOptimizeDeltaBreakpoints:
                 for i in range(len(values) - 1):
                     assert sign * (values[i + 1] - values[i]) \
                         >= -1e-10 * abs(values[i]), (query, deltas[i])
+
+    def test_2d_volume_slope_has_the_claimed_sign(self):
+        # the 2D volume objective's exact delta-slope is > 0 below
+        # 1/sqrt 3 and < 0 above it on (0, 1), at 600 deltas x 11
+        # budgets below each covering overlap.  The objective takes the
+        # same value at delta and 1/delta, so its slope at 1/delta is
+        # -delta^2 times the slope at delta: it rises on (1, sqrt 3) and
+        # falls beyond, as the breakpoints claim
+        for delta in np.geomspace(DELTA_MIN, 1.0, 601)[:-1]:
+            delta = float(delta)
+            claimed = 1.0 if delta < 1.0 / SQRT3 else -1.0
+            cover = covering_overlap_2d(delta)
+            for frac in np.linspace(0.0, 1.0, 13)[1:-1]:
+                omega = float(frac) * cover
+                slope = density_derivative_2d(delta, omega)
+                assert claimed * slope > 0.0, (delta, omega, slope)
+        for delta in np.geomspace(DELTA_MIN, 1.0, 31)[:-1]:
+            for frac in np.linspace(0.0, 1.0, 13)[1:-1]:
+                query = _pack(2, VOL, float(frac) * covering_overlap_2d(delta))
+                assert quality._objective(query, 1.0 / delta) \
+                    == pytest.approx(quality._objective(query, delta),
+                                     rel=1e-9, abs=0.0)
 
     @settings(max_examples=60)
     @given(n=st.sampled_from((2, 3)),
@@ -802,62 +827,71 @@ def full_crossover(n=3, delta_a=0.5, delta_b=2.0, omega_hi=0.5, tol=1e-6,
     return 0.5 * (lo + hi)
 
 
+def crossover_40():
+    """The BCC-FCC crossover budget to 40 digits: mpmath's root of the
+    union difference of tests/reference.py's volume_3d at equal density,
+    bracketed where the float root lies, then BCC's overlap there."""
+    k = mp.cbrt(4)
+
+    def g(r):
+        return (reference.volume_3d(2.0, k * r) / 2
+                - reference.volume_3d(0.5, r) * 2)
+
+    r = mp.findroot(g, (mpf("0.48"), mpf("0.5")), solver="anderson")
+    return (4 * mp.pi / 3 * r ** 3 - reference.volume_3d(0.5, r)) * 2
+
+
 class TestCrossoverMatchesFullDifference:
-    """Signs read off the inversion brackets change no bit of the result."""
+    """The equal-density root lies within the old bisection tolerance of
+    the scan-and-bisection reference, and raises where it raises."""
 
     @pytest.mark.parametrize("kwargs", (
-        {}, {"tol": 1e-9}, {"grid": 11}, {"grid": 101, "omega_hi": 1.0},
-        {"delta_a": 0.7}, {"tol": 1e-12}, {"omega_hi": 0.3, "grid": 7}))
-    def test_bit_identical(self, kwargs):
-        assert crossover_omega(**kwargs) == full_crossover(**kwargs)
-
-    def test_fine_tolerance_reaches_the_exact_fallback(self, monkeypatch):
-        # near the root the two densities agree to under the margin, so
-        # some signs come from two fresh inversions
-        fresh = []
-
-        def counted(lat, measure, omega):
-            fresh.append(omega)
-            return max_radius_for_overlap(lat, measure, omega)
-
-        monkeypatch.setattr(quality, "max_radius_for_overlap", counted)
-        assert crossover_omega(tol=1e-12) == 0.10609741504449632
-        assert fresh
+        {}, {"grid": 11}, {"grid": 101, "omega_hi": 1.0}, {"delta_a": 0.7},
+        {"omega_hi": 0.3, "grid": 7},
+        # a 2D crossover, scanned below the tie where both cover space
+        {"n": 2, "delta_a": 0.4, "delta_b": 1.2, "omega_hi": 0.3},
+        # the lattices swapped, so g rises through the root
+        {"delta_a": 2.0, "delta_b": 0.5}))
+    def test_within_tol_of_full_crossover(self, kwargs):
+        # full_crossover bisects to tol = 1e-6 around the same root
+        assert abs(crossover_omega(**kwargs) - full_crossover(**kwargs)) \
+            <= 1e-6
 
     @pytest.mark.parametrize("kwargs", (
         {"omega_hi": 0.05, "grid": 11},
         {"delta_a": 2.0},
-        # past the covering radius both 2D densities are 1 + omega, so
-        # the difference is rounding noise and every sign needs the
-        # exact value
+        # past both covering radii both unions are 1, so g is exactly 0:
+        # a tie, not a crossover (the reference reads rounding noise in
+        # the density difference there)
         {"n": 2, "delta_a": 1.0 / SQRT3, "delta_b": 1.0, "omega_hi": 1.0},
-        # nine sign changes
+        # a overtakes b at 0.165, then both cover space and tie: the
+        # leader changes twice
         {"n": 2, "delta_a": 0.4, "delta_b": 1.2, "omega_hi": 1.0}))
     def test_both_raise_no_crossover(self, kwargs):
-        with pytest.raises(NoCrossoverError) as ours:
+        with pytest.raises(NoCrossoverError):
             crossover_omega(**kwargs)
-        with pytest.raises(NoCrossoverError) as ref:
+        with pytest.raises(NoCrossoverError):
             full_crossover(**kwargs)
-        assert str(ours.value).endswith(str(ref.value))
 
     def test_vol_overlap_call_budget(self, monkeypatch):
-        # a deterministic cost guard: the full difference takes 1,588
-        # inversion-side overlap evaluations, the bracket signs 791, and
-        # the memo brackets 238, none of them at a radius seen before
+        # a deterministic cost guard on union evaluations: the scan takes
+        # 102, the ITP steps 16, the one inversion 2 and the answer 1;
+        # the old bisection over nested inversions took 238 overlap calls
         calls = []
+        union = measures.union_fraction
 
-        def counted(lat, r, **kwargs):
+        def counted(lat, r):
             calls.append((lat.delta, r))
-            return vol_overlap(lat, r, **kwargs)
+            return union(lat, r)
 
         def no_union(lat, r):
             raise AssertionError("crossover_omega evaluated a union column")
 
-        monkeypatch.setattr(quality, "vol_overlap", counted)
+        monkeypatch.setattr(quality, "union_fraction", counted)
+        monkeypatch.setattr(measures, "union_fraction", counted)
         monkeypatch.setattr(quality, "_union_or_nan", no_union)
-        assert crossover_omega() == 0.10609771728515627
-        assert len(calls) <= 300
-        assert len(set(calls)) == len(calls)
+        crossover_omega()
+        assert len(calls) <= 140
 
 
 class TestOverlapBrackets:
@@ -868,7 +902,7 @@ class TestOverlapBrackets:
                                                           omega):
         lat = DistortedLattice(n, delta)
         pack = packing_radius(lat)
-        brackets = list(quality._OverlapMemo(lat).brackets(omega))
+        brackets = list(quality._volume_brackets(lat, omega))
         assert brackets
         prev_lo, prev_hi = pack, math.inf
         for lo, hi in brackets:
@@ -897,93 +931,6 @@ class TestOverlapBrackets:
         assert r == float.fromhex(self.PINNED[n, delta, omega])
 
 
-class TestOverlapMemo:
-    @staticmethod
-    def warm_memos():
-        """The two memos of one crossover_omega() run."""
-        memos = []
-        memo_class = quality._OverlapMemo
-
-        def kept(lat):
-            memos.append(memo_class(lat))
-            return memos[-1]
-
-        with mock.patch.object(quality, "_OverlapMemo", side_effect=kept):
-            crossover_omega()
-        assert len(memos) == 2
-        return memos
-
-    def test_radii_sorted_distinct_and_evaluated_once(self):
-        for memo in self.warm_memos():
-            assert len(memo.radii) > 2
-            assert all(a < b for a, b in zip(memo.radii, memo.radii[1:]))
-            assert memo.radii[0] == packing_radius(memo.lat)
-            with mock.patch.object(quality, "vol_overlap") as fresh:
-                for r, value in zip(memo.radii, memo.values):
-                    assert memo.overlap(r) == value
-            fresh.assert_not_called()
-
-    def test_bracket_holds_every_budget(self):
-        for memo in self.warm_memos():
-            top = memo.values[-1]
-            stored = len(memo.radii)
-            for omega in np.linspace(0.0, top, 61, endpoint=False):
-                lo, f_lo, hi, f_hi = memo.bracket(float(omega))
-                assert lo < hi
-                assert memo.overlap(lo) <= omega < memo.overlap(hi)
-                assert f_lo == memo.overlap(lo) - omega
-                assert f_hi == memo.overlap(hi) - omega
-            assert len(memo.radii) == stored
-            # past every stored overlap the bracket is open above
-            assert memo.bracket(top) == (memo.radii[-1], 0.0, math.inf,
-                                         math.inf)
-
-    def test_brackets_nest_as_the_memo_grows(self):
-        lat = DistortedLattice(3, 0.5)
-        memo = quality._OverlapMemo(lat)
-        omega = 0.1
-        prev_lo, prev_hi = packing_radius(lat), math.inf
-        for other in (0.3, 0.05, 0.12, 0.09, 0.1):
-            lo, _, hi, _ = memo.bracket(omega)
-            assert prev_lo <= lo < hi <= prev_hi
-            prev_lo, prev_hi = lo, hi
-            inner = list(memo.brackets(other))
-            for (a, b), (c, d) in zip(inner, inner[1:]):
-                assert a <= c < d <= b
-        # the last inversion was of omega itself: its final bracket
-        lo, _, hi, _ = memo.bracket(omega)
-        assert (lo, hi) == inner[-1]
-        assert hi - lo <= RADIUS_TOL
-
-    def test_density_bounds_hold_the_reported_density_within_margin(self):
-        # a memo radius just past qual_packing's radius r*, still within
-        # budget, lifts every lower density bound above density(r*); the
-        # slope term of crossover_omega's margin covers the gap
-        lat = DistortedLattice(2, 0.4)
-        omega = 0.05
-        r_star = max_radius_for_overlap(lat, VOL, omega)
-        # the largest float within budget, bisected from the final
-        # bracket of a fresh inversion
-        lo, hi = list(quality._OverlapMemo(lat).brackets(omega))[-1]
-        assert lo == r_star
-        while math.nextafter(lo, hi) < hi:
-            mid = 0.5 * (lo + hi)
-            if vol_overlap(lat, mid) <= omega:
-                lo = mid
-            else:
-                hi = mid
-        past = lo
-        assert past > r_star
-        memo = quality._OverlapMemo(lat)
-        assert memo.overlap(past) <= omega
-        reported = qual_packing(lat, VOL, omega).density
-        slope = lat.n * RADIUS_TOL / memo.pack
-        bounds = list(quality._packing_density_bounds(memo, omega))
-        assert bounds[0][0] > reported
-        for lo, hi in bounds:
-            assert lo - slope * hi <= reported < hi
-
-
 class TestCrossoverOmega:
     def test_crossover_location_and_level(self):
         omega_star = crossover_omega()
@@ -1003,14 +950,25 @@ class TestCrossoverOmega:
         assert (qual_packing(fcc, VOL, hi).density
                 < qual_packing(bcc, VOL, hi).density)
 
+    def test_matches_the_40_digit_root(self):
+        root = crossover_40()
+        assert abs(crossover_omega() - root) <= 1e-13 * root
+
+    def test_order_flips_at_the_root(self):
+        # the root is exact to far under the qualities' own gap at
+        # 1e-9 relative from it
+        omega_star = crossover_omega()
+        bcc = DistortedLattice(3, 0.5)
+        fcc = DistortedLattice(3, 2.0)
+        for scale, sign in ((1.0 - 1e-9, 1.0), (1.0 + 1e-9, -1.0)):
+            omega = omega_star * scale
+            gap = (qual_packing(fcc, VOL, omega).density
+                   - qual_packing(bcc, VOL, omega).density)
+            assert sign * gap > 0.0, (scale, gap)
+
     def test_no_crossover_raises(self):
         with pytest.raises(NoCrossoverError):
             crossover_omega(omega_hi=0.05, grid=11)
-
-    @pytest.mark.parametrize("tol", (0.0, -1.0, math.nan, math.inf))
-    def test_rejects_bad_tol(self, tol):
-        with pytest.raises(ValueError, match="tol"):
-            crossover_omega(tol=tol)
 
     @pytest.mark.parametrize("grid", (1, 0, 11.0, True))
     def test_rejects_bad_grid(self, grid):

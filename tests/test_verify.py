@@ -79,6 +79,18 @@ class TestSuites:
         run_suite("oracle", samples=1, seed=2 ** 128 - cells)
         assert seeds == list(range(2 ** 128 - cells, 2 ** 128))
 
+    def test_crossover_densities_must_agree(self, monkeypatch):
+        # the midpoint of the old bisection, 3.0e-7 from the root, is
+        # inside the budget's range but leaves a 9.8e-8 density gap
+        def agree():
+            return {c.name: c.passed for c in verify._theorem_checks()}[
+                "densities agree at crossover"]
+
+        assert agree()
+        monkeypatch.setattr(verify, "crossover_omega",
+                            lambda: 0.10609771728515627)
+        assert not agree()
+
     def test_report_serializes(self):
         rep = run_suite("theorems")
         text = json.dumps(rep.as_dict())
