@@ -48,17 +48,10 @@ arrangement groups the edge and vertex terms into orbits under these 12
 isometries and stores one activation per orbit; inclusion-exclusion
 evaluates one representative per orbit and weights it by the orbit size.
 An edge term enters at the edge line, a vertex term at the least-norm
-point of its three halfspaces (a tiny active-set QP), which need not be
-the vertex.  Pair and triple volumes are both closed form by the
-divergence theorem, 3V = r * A_sphere - sum_i d_i * A_face_i; the
-triple's spherical patch comes from Gauss-Bonnet on the intersection of
-three caps.
-
-The face caps are evaluated once per distinct face distance (1 to 5 per
-cell) and still subtracted once per face, in plane order, so the sum is
-bit for bit the one-cap-per-face sum.  The distances are keyed by their
-exact floats, not by face orbit: the faces of one orbit can lie an ulp
-apart.
+point of its three halfspaces (closed form, from cross products), which
+need not be the vertex.  A pair volume is closed form by the divergence
+theorem, 3V = r * A_sphere - sum_i d_i * A_face_i, a triple volume as a
+sum of signed face cones, 3V = sum_i (r^3 Omega(F_i) - d_i A(F_i)).
 """
 
 from __future__ import annotations
@@ -271,251 +264,197 @@ def cap_pair_intersection_volume(r: float, plane1, plane2) -> float:
 # -- least-norm activation of a halfspace intersection -----------------------
 
 
-def _activation_radius(normals: np.ndarray, dists: np.ndarray) -> float:
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross(u, v) -> tuple:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _affine_foot(active) -> tuple | None:
+    """Least-norm point of {x : <x, n> = d for each (n, d) in active}, one
+    to three planes; None where the normals are dependent in floats."""
+    if len(active) == 1:
+        (n, d), = active
+        return (d * n[0], d * n[1], d * n[2])
+    if len(active) == 2:
+        (n1, d1), (n2, d2) = active
+        c = _cross(n1, n2)
+        den = _dot(c, c)
+        if den == 0.0:
+            return None
+        g = _dot(n1, n2)
+        a, b = (d1 - g * d2) / den, (d2 - g * d1) / den
+        return tuple(a * x + b * y for x, y in zip(n1, n2))
+    (n1, d1), (n2, d2), (n3, d3) = active
+    c23, c31, c12 = _cross(n2, n3), _cross(n3, n1), _cross(n1, n2)
+    det = _dot(n1, c23)
+    if det == 0.0:
+        return None
+    return tuple((d1 * x + d2 * y + d3 * z) / det
+                 for x, y, z in zip(c23, c31, c12))
+
+
+def _activation_radius(normals, dists) -> float:
     """Norm of the least-norm point with <x, n_i> >= d_i for every i.
 
-    Enumerates active subsets; the least-norm point on each active affine
-    set that is feasible for the rest is a candidate, and the true minimum
-    is among them.  Returns inf when the intersection is empty.
+    In 3D the minimum is the least-norm point of the affine set of at
+    most three active planes that satisfies the other planes, so each
+    such set gives a candidate.  Python floats, any number of planes.
+    Returns inf when the intersection is empty.
     """
-    m = len(dists)
-    if all(d <= 0.0 for d in dists):
+    planes = [(tuple(float(x) for x in n), float(d))
+              for n, d in zip(normals, dists)]
+    if all(d <= 0.0 for _, d in planes):
         return 0.0
     best = math.inf
-    for mask in range(1, 1 << m):
-        idx = [i for i in range(m) if mask >> i & 1]
-        a = normals[idx]
-        g = a @ a.T
-        try:
-            lam = np.linalg.solve(g, dists[idx])
-        except np.linalg.LinAlgError:
-            continue
-        x = a.T @ lam
-        # a singular active set can slip past solve() with garbage lam;
-        # a genuine candidate satisfies its own equalities
-        if float(np.max(np.abs(a @ x - dists[idx]))) > 1e-9:
-            continue
-        feasible = True
-        for j in range(m):
-            if not (mask >> j & 1) and float(x @ normals[j]) < dists[j] - 1e-12:
-                feasible = False
-                break
-        if feasible:
-            best = min(best, float(np.linalg.norm(x)))
+    for size in range(1, min(3, len(planes)) + 1):
+        for idx in itertools.combinations(range(len(planes)), size):
+            active = [planes[i] for i in idx]
+            x = _affine_foot(active)
+            # a nearly singular active set gives a point off its own planes
+            if x is None or any(abs(_dot(x, n) - d) > 1e-9
+                                for n, d in active):
+                continue
+            if all(_dot(x, n) >= d - 1e-12
+                   for i, (n, d) in enumerate(planes) if i not in idx):
+                best = min(best, math.sqrt(_dot(x, x)))
     return best
 
 
 # -- triple intersections -----------------------------------------------------
 
 
-def _disk_two_halfplanes(rho: float, u1, e1: float, u2, e2: float) -> float:
-    """Area of disk(rho) cut by <y, u1> >= e1 and <y, u2> >= e2."""
-    tol = 1e-12 * max(1.0, rho)
-    verts = []
-    for (u, e), (uo, eo) in (((u1, e1), (u2, e2)), ((u2, e2), (u1, e1))):
-        h2 = rho * rho - e * e
-        if h2 <= 0.0:
-            continue
-        h = math.sqrt(h2)
-        px, py = e * u[0], e * u[1]
-        qx, qy = -u[1], u[0]
-        for sgn in (1.0, -1.0):
-            y = (px + sgn * h * qx, py + sgn * h * qy)
-            if y[0] * uo[0] + y[1] * uo[1] >= eo - tol:
-                verts.append(y)
-    det = u1[0] * u2[1] - u1[1] * u2[0]
-    if abs(det) > 1e-12:
-        y = ((e1 * u2[1] - e2 * u1[1]) / det,
-             (u1[0] * e2 - u2[0] * e1) / det)
-        if y[0] * y[0] + y[1] * y[1] <= rho * rho * (1.0 + 1e-12):
-            verts.append(y)
-    uniq = []
-    for y in verts:
-        if all((y[0] - z[0]) ** 2 + (y[1] - z[1]) ** 2 > tol * tol
-               for z in uniq):
-            uniq.append(y)
-    if len(uniq) < 2:
-        return 0.0
-    cx = sum(y[0] for y in uniq) / len(uniq)
-    cy = sum(y[1] for y in uniq) / len(uniq)
-    uniq.sort(key=lambda y: math.atan2(y[1] - cy, y[0] - cx))
-    on_circle = [abs(math.hypot(*y) - rho) < 1e-9 * max(1.0, rho)
-                 for y in uniq]
-    area = 0.0
-    for k in range(len(uniq)):
-        ax, ay = uniq[k]
-        bx, by = uniq[(k + 1) % len(uniq)]
-        if on_circle[k] and on_circle[(k + 1) % len(uniq)]:
-            ta = math.atan2(ay, ax)
-            dth = (math.atan2(by, bx) - ta) % (2.0 * math.pi)
-            tm = ta + 0.5 * dth
-            mx, my = rho * math.cos(tm), rho * math.sin(tm)
-            if (mx * u1[0] + my * u1[1] >= e1 - tol
-                    and mx * u2[0] + my * u2[1] >= e2 - tol):
-                area += 0.5 * rho * rho * dth
-                continue
-        area += 0.5 * (ax * by - bx * ay)
-    return max(area, 0.0)
+def _span_fit(a, b, c) -> tuple:
+    """(residual, alpha, beta) of the least-squares fit c ~ alpha a + beta b
+    of unit vectors, minimal in (alpha, beta) where a and b are parallel."""
+    ab, g = _cross(a, b), _dot(a, b)
+    s = math.sqrt(_dot(ab, ab))
+    if s < 1e-12:
+        # one direction: alpha + beta * sign(g) = <a, c>, split evenly
+        t = _dot(a, c)
+        return _norm_cross(a, c), 0.5 * t, math.copysign(0.5, g) * t
+    # the part of c off the plane of a and b, and the 2x2 Gram solve
+    gac, gbc = _dot(a, c), _dot(b, c)
+    return (abs(_dot(c, ab)) / s, (gac - g * gbc) / (s * s),
+            (gbc - g * gac) / (s * s))
 
 
-def _disk_area_cut(rho: float, constraints) -> float:
-    """Area of disk(rho) under up to two halfplane constraints (u, e)."""
-    if rho <= 0.0:
-        return 0.0
-    active = []
-    for u, e in constraints:
-        if e >= rho:
-            return 0.0
-        if e > -rho:
-            active.append((u, e))
-    if not active:
-        return math.pi * rho * rho
-    if len(active) == 1:
-        return _segment_area(rho, active[0][1])
-    (u1, e1), (u2, e2) = active
-    return _disk_two_halfplanes(rho, u1, e1, u2, e2)
+def _face_setup(normals, dists) -> tuple:
+    """(cone, faces), the radius-free part of the face cones, d_i >= 0.
 
-
-def _frame(n):
-    """Two unit vectors completing the unit vector n to a right-handed
-    orthonormal frame (f1, f2, n), without branching near the poles
-    (Duff et al., J. Comput. Graph. Tech. 6, 2017)."""
-    nx, ny, nz = n
-    sign = math.copysign(1.0, nz)
-    a = -1.0 / (sign + nz)
-    b = nx * ny * a
-    return ((1.0 + sign * nx * nx * a, sign * b, -sign * nx),
-            (b, sign + ny * ny * a, -ny))
-
-
-def _dot(u, v) -> float:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-# azimuths closer than this are one point of the circle: three circles
-# through one point must not leave a sliver arc or double-count a corner
-_TIE = 1e-12
-
-
-def _arc_cut(arc_j, arc_k):
-    """Arc length and endpoint turning of circle i inside two caps.
-
-    Each argument describes the part of circle i inside one cap: True
-    (all of it), False (none of it), or (start azimuth, length, turning
-    angle at the two crossing points).  Returns the total length of the
-    intersection and half the turning angle of each of its endpoints;
-    every corner is the endpoint of an arc on each of its two circles,
-    so the halves add up to the full turning angle.  Where both arcs end
-    at one point the three tangent halfplanes there bound a sector whose
-    two extreme sides give the corner, so the larger angle counts.
+    cone is the solid angle of the region at the centre, nonzero only
+    when all three planes pass through it.  Face i is (d_i, e_j, e_k,
+    cos, sin, azimuth): about the foot d_i n_i, plane o cuts out y . w_o
+    >= e_o, with w_o = (n_o - g_io n_i) / s_io, g_io = <n_i, n_o> and
+    s_io = |n_i x n_o|; w_k lies at the azimuth atan2((w_j x w_k) . n_i,
+    w_j . w_k) from w_j.  (Anti)parallel normals give (0.0, ()).
     """
-    if arc_j is False or arc_k is False:
-        return 0.0, 0.0
-    if arc_j is True and arc_k is True:
-        return 2.0 * math.pi, 0.0
-    if arc_j is True or arc_k is True:
-        _, length, eps = arc_k if arc_j is True else arc_j
-        return length, eps
-    s_j, len_j, eps_j = arc_j
-    s_k, len_k, eps_k = arc_k
-    both = max(eps_j, eps_k)
-    # in the frame where arc j is [0, len_j], arc k starts at x; it may
-    # also reach [0, len_j] after wrapping once around the circle
-    x = (s_k - s_j) % (2.0 * math.pi)
-    length = turn = 0.0
-    for lo in (x, x - 2.0 * math.pi):
-        hi = lo + len_k
-        if min(len_j, hi) - max(0.0, lo) <= _TIE:
-            continue
-        length += min(len_j, hi) - max(0.0, lo)
-        if abs(lo) < _TIE:
-            turn += 0.5 * both
-        else:
-            turn += 0.5 * (eps_j if lo < 0.0 else eps_k)
-        if abs(hi - len_j) < _TIE:
-            turn += 0.5 * both
-        else:
-            turn += 0.5 * (eps_j if hi > len_j else eps_k)
-    return length, turn
-
-
-def _triple_divergence(r: float, normals, dists) -> float:
-    """Volume beyond three planes at distances d_i >= 0 inside ball(r).
-
-    Divergence theorem: 3V = r * A_sphere - sum_i d_i * A_face_i.  On
-    the unit sphere the patch is the intersection of three caps of
-    cosine c_i = d_i / r, and Gauss-Bonnet gives its area as 2 pi minus
-    c_i times the arc angle on each boundary circle minus the turning
-    angle at each corner.  Each face is the disk of its plane cut by
-    the other two planes.
-    """
-    c = [d / r for d in dists]
-    s = [math.sqrt(max((r - d) * (r + d), 0.0)) / r for d in dists]
-    curve = 0.0  # sum of c_i * arc angle plus the corner turning angles
-    arcs_total = 0.0
-    faces = 0.0
+    pairs = {(i, o): (_dot(normals[i], normals[o]),
+                      _norm_cross(normals[i], normals[o]))
+             for i in range(3) for o in range(3) if i != o}
+    if min(s for _, s in pairs.values()) < 1e-12:
+        # opposite planes at d >= 0 leave no volume between them; parallel
+        # ones never get here, the redundancy check returns their lens
+        return 0.0, ()
+    if all(d == 0.0 for d in dists):
+        # the centre is the apex: the trihedral cone's solid angle is the
+        # sum of its dihedral angles pi - gamma less pi (Girard)
+        return 2.0 * math.pi - sum(math.atan2(s, g) for (i, o), (g, s)
+                                   in pairs.items() if i < o), ()
+    faces = []
     for i in range(3):
-        f1, f2 = _frame(normals[i])
-        arcs = []
-        cons = []
-        for o in range(3):
-            if o == i:
-                continue
-            g = _dot(normals[i], normals[o])
-            s_io = _norm_cross(normals[i], normals[o])
-            if s_io < 1e-12:
-                # opposite planes at d >= 0 leave no volume between them;
-                # parallel ones never get here, the redundancy check
-                # returns their pair lens
-                return 0.0
-            px, py = _dot(normals[o], f1), _dot(normals[o], f2)
-            # offset of plane o's trace on the plane of circle i, per unit r
-            q = (c[o] - g * c[i]) / s_io
-            cons.append(((px / s_io, py / s_io), r * q))
-            h2 = s[i] * s[i] - q * q
-            if h2 <= 0.0:
-                arcs.append(q < 0.0)
-                continue
-            h = math.sqrt(h2)
-            half = math.atan2(h, q)
-            arcs.append((math.atan2(py, px) - half, 2.0 * half,
-                         math.atan2(h * s_io, g - c[i] * c[o])))
-        length, turn = _arc_cut(*arcs)
-        arcs_total += length
-        curve += c[i] * length + turn
-        faces += dists[i] * _disk_area_cut(r * s[i], cons)
-    if arcs_total <= 0.0:
-        return 0.0
-    a_sphere = r * r * (2.0 * math.pi - curve)
-    return (r * a_sphere - faces) / 3.0
+        j, k = [o for o in range(3) if o != i]
+        (g_j, s_j), (g_k, s_k) = pairs[i, j], pairs[i, k]
+        # (w_j x w_k) . n_i and w_j . w_k, both times s_j s_k
+        y = _dot(normals[i], _cross(normals[j], normals[k]))
+        x = pairs[j, k][0] - g_j * g_k
+        h = math.hypot(x, y)
+        faces.append((dists[i], (dists[j] - g_j * dists[i]) / s_j,
+                      (dists[k] - g_k * dists[i]) / s_k,
+                      x / h, y / h, math.atan2(y, x)))
+    return 0.0, tuple(faces)
 
 
 @lru_cache(maxsize=4096)
 def _triple_checks(normals: tuple, dists: tuple):
-    """The radius-independent part of a cap triple: the pair (i, j) whose
-    lens the region is when plane k is redundant on it, else None, and
-    the activation radius.
+    """(lens, activation, cone, faces), the radius-free part of a triple.
 
-    n_k = alpha n_i + beta n_j with alpha, beta >= 0 and
-    alpha d_i + beta d_j >= d_k makes constraint k implied on the lens.
-    Memoized per plane triple, so inclusion-exclusion, which evaluates
-    one representative per triple orbit at every radius, runs the
-    least-squares fits and the active-set solves once per orbit.
+    lens is the pair (i, j) whose lens the region is when plane k is
+    redundant on it, else None: n_k = alpha n_i + beta n_j with alpha,
+    beta >= 0 and alpha d_i + beta d_j >= d_k makes constraint k implied
+    on the lens.  activation is the radius at which the region starts.
+    cone and faces are `_face_setup`'s where there is no lens and every
+    d_i >= 0 (else 0.0 and ()).  All closed form.  Memoized per plane
+    triple, so inclusion-exclusion, which evaluates one representative
+    per triple orbit at every radius, sets each orbit up once.
     """
-    normals, dists = np.array(normals), np.array(dists)
-    lens = None
+    activation = _activation_radius(normals, dists)
     for k in range(3):
         i, j = [t for t in range(3) if t != k]
-        m = np.column_stack([normals[i], normals[j]])
-        sol, *_ = np.linalg.lstsq(m, normals[k], rcond=None)
-        if float(np.linalg.norm(m @ sol - normals[k])) < 1e-10:
-            alpha, beta = float(sol[0]), float(sol[1])
-            if (alpha >= -1e-12 and beta >= -1e-12
-                    and alpha * dists[i] + beta * dists[j]
-                    >= dists[k] - 1e-12):
-                lens = (i, j)
-                break
-    return lens, _activation_radius(normals, dists)
+        residual, alpha, beta = _span_fit(normals[i], normals[j], normals[k])
+        if (residual < 1e-10 and alpha >= -1e-12 and beta >= -1e-12
+                and alpha * dists[i] + beta * dists[j] >= dists[k] - 1e-12):
+            return (i, j), activation, 0.0, ()
+    if min(dists) < 0.0:
+        return None, activation, 0.0, ()
+    return (None, activation, *_face_setup(normals, dists))
+
+
+def _solid_angle(a: float, h: float, s: float, e2: float) -> float:
+    """Signed solid angle of the right triangle (foot, E, E + s t) from
+    the centre, a above the foot, h = |foot E| and e2 = a^2 + h^2: Van
+    Oosterom & Strackee ("The solid angle of a plane triangle", IEEE
+    Trans. BME 30, 1983) with r1 = a divided out, so that a = 0 gives the
+    planar angle at the foot."""
+    q2, q3 = math.sqrt(e2), math.sqrt(e2 + s * s)
+    return math.copysign(
+        2.0 * math.atan2(h * abs(s), q2 * q3 + a * (q2 + q3) + e2), s)
+
+
+def _face_cones(r: float, cone: float, faces) -> float:
+    """Volume beyond three planes at distances d_i >= 0 inside ball(r).
+
+    Each ray from the centre into the region enters it through one face
+    F_i (or starts in it, at an apex), so 3V = r^3 cone + sum_i (r^3
+    Omega(F_i) - d_i Area(F_i)).  F_i is the disk of radius rho =
+    sqrt(r^2 - d_i^2) about the foot cut by y . w_o >= e_o; seen from the
+    foot its boundary is arcs of total angle Theta and one chord [s0, s1]
+    per cut, so Area = rho^2 Theta / 2 - sum e (s1 - s0) / 2 and Omega =
+    Theta (1 - d_i / r) plus one signed pair of triangles per chord.
+    """
+    total = r ** 3 * cone
+    for d, e_j, e_k, cos, sin, az in faces:
+        rho2 = (r - d) * (r + d)
+        h_j = math.sqrt(max(rho2 - e_j * e_j, 0.0))
+        h_k = math.sqrt(max(rho2 - e_k * e_k, 0.0))
+        # the arcs of the circle inside each cut, about w_j and w_k
+        a_j, a_k = math.atan2(h_j, e_j), math.atan2(h_k, e_k)
+        theta = sum(max(0.0, min(a_j, az + t + a_k) - max(-a_j, az + t - a_k))
+                    for t in (-2.0 * math.pi, 0.0, 2.0 * math.pi))
+        area = 0.5 * rho2 * theta
+        omega = theta * (r - d) / r
+        # line j is e_j w_j + s t_j, where y . w_k = e_j cos + s sin;
+        # line k is e_k w_k + s t_k, where y . w_j = e_k cos - s sin
+        for e, h, slope, e_o in ((e_j, h_j, sin, e_k), (e_k, h_k, -sin, e_j)):
+            s0, s1 = -h, h
+            if slope > 0.0:
+                s0 = max(s0, (e_o - e * cos) / slope)
+            elif slope < 0.0:
+                s1 = min(s1, (e_o - e * cos) / slope)
+            elif e * cos < e_o:
+                continue
+            if s1 <= s0:
+                continue
+            e2 = d * d + e * e
+            area -= 0.5 * e * (s1 - s0)
+            omega -= math.copysign(1.0, e) * (
+                _solid_angle(d, abs(e), s1, e2)
+                - _solid_angle(d, abs(e), s0, e2))
+        total += r ** 3 * omega - d * area
+    return total / 3.0
 
 
 def cap_triple_intersection_volume(r: float, plane1, plane2, plane3) -> float:
@@ -527,16 +466,14 @@ def cap_triple_intersection_volume(r: float, plane1, plane2, plane3) -> float:
     inclusion-exclusion cancellation exact).  A plane at negative
     distance is traded for its complement:
     triple(p1, p2, (n3, d3)) = pair(p1, p2) - triple(p1, p2, (-n3, -d3)).
-    With every distance >= 0 the region meets the sphere in one convex
-    patch, and the volume is closed form by the divergence theorem,
-    3V = r * A_sphere - sum_i d_i * A_face_i, with A_sphere from
-    Gauss-Bonnet on the intersection of three caps and each A_face the
-    disk of one plane cut by the other two.  The terms are of size r^3,
-    so the error is a few ulps of r^3 (more for thin caps): a tiny
-    volume is exact in absolute, not in relative terms.
+    With every distance >= 0 the volume is a sum of face cones,
+    3V = sum_i (r^3 Omega(F_i) - d_i A(F_i)), F_i the disk of plane i cut
+    by the other two, Omega its solid angle from the centre and A its
+    area.  The terms are of size r^3, so the error is a few ulps of r^3
+    (more for thin caps): a tiny volume is exact in absolute terms only.
     """
     _check_radius(r)
-    # a numpy scalar radius would make the arc flags numpy bools
+    # a numpy scalar radius would leak numpy floats into the sum
     r = float(r)
     normals, dists = zip(*(_plane(p) for p in (plane1, plane2, plane3)))
     if r == 0.0 or any(d >= r for d in dists):
@@ -546,8 +483,8 @@ def cap_triple_intersection_volume(r: float, plane1, plane2, plane3) -> float:
             i, j = [t for t in range(3) if t != k]
             return cap_pair_intersection_volume(
                 r, (normals[i], dists[i]), (normals[j], dists[j]))
-    unit = tuple(tuple(float(x) for x in n) for n in normals)
-    lens, activation = _triple_checks(unit, tuple(dists))
+    unit = tuple(tuple(n.tolist()) for n in normals)
+    lens, activation, cone, faces = _triple_checks(unit, tuple(dists))
     if lens is not None:
         i, j = lens
         return cap_pair_intersection_volume(
@@ -561,7 +498,7 @@ def cap_triple_intersection_volume(r: float, plane1, plane2, plane3) -> float:
             return max(0.0, cap_pair_intersection_volume(r, pi, pj)
                        - cap_triple_intersection_volume(
                            r, pi, pj, (-normals[k], -dists[k])))
-    return max(_triple_divergence(r, unit, dists), 0.0)
+    return max(_face_cones(r, cone, faces), 0.0)
 
 
 # -- the cap arrangement of a cell -------------------------------------------
@@ -638,26 +575,15 @@ class CapArrangement:
 
     def plane_distance_multiset(self):
         """Face distances with multiplicities, as {distance: count}."""
-        out = {}
-        for p in self.planes:
-            key = round(p.distance, 9)
-            out[key] = out.get(key, 0) + 1
-        return out
+        return dict(Counter(round(p.distance, 9) for p in self.planes))
 
     def edge_subtype_counts(self):
         """Edge counts per subtype tag."""
-        out = {}
-        for e in self.edges:
-            out[e.subtype] = out.get(e.subtype, 0) + 1
-        return out
+        return dict(Counter(e.subtype for e in self.edges))
 
     def vertex_distance_multiset(self):
         """Vertex distances with multiplicities, as {distance: count}."""
-        out = {}
-        for v in self.vertices:
-            key = round(v.distance, 9)
-            out[key] = out.get(key, 0) + 1
-        return out
+        return dict(Counter(round(v.distance, 9) for v in self.vertices))
 
 
 def _coeff_type(v) -> int:
@@ -774,13 +700,18 @@ def _regime_tables(regime: str) -> _RegimeTables:
     # of a four-valent vertex share only that vertex)
     shared = Counter(pair for faces in incidences
                      for pair in itertools.combinations(faces, 2))
-    edges = []
-    for i, j in sorted(pair for pair, k in shared.items() if k == 2):
+    pairs = sorted(pair for pair, k in shared.items() if k == 2)
+    pair_orbits = _term_orbits(images, pairs)
+    # the subtype is an orbit invariant: classify one member per orbit
+    subtype = {}
+    for members in pair_orbits:
+        i, j = members[0]
         ti, tj = _coeff_type(coeffs[i]), _coeff_type(coeffs[j])
         tdiff = _coeff_type([a - b for a, b in zip(coeffs[i], coeffs[j])])
-        edges.append(((i, j), f"{min(ti, tj)}{max(ti, tj)}|{tdiff}"))
+        subtype.update(dict.fromkeys(
+            members, f"{min(ti, tj)}{max(ti, tj)}|{tdiff}"))
+    edges = [(pair, subtype[pair]) for pair in pairs]
 
-    pair_orbits = _term_orbits(images, [pair for pair, _ in edges])
     # a four-valent vertex (delta > 1) is left out: it lies at the covering
     # radius, and every term through it holds one of its diagonal face
     # pairs, whose region starts there
@@ -855,15 +786,10 @@ def _build_arrangement(delta: float) -> CapArrangement:
                                                 dists[list(members[0])]))
         for members in tables.triple_orbits)
 
-    return CapArrangement(delta=delta,
-                          degenerate=degenerate,
-                          planes=planes,
-                          face_distances=face_distances,
-                          face_slots=face_slots,
-                          edges=tuple(edges),
-                          vertices=vertices,
-                          pair_orbits=pair_orbits,
-                          triple_orbits=triple_orbits)
+    return CapArrangement(delta=delta, degenerate=degenerate, planes=planes,
+                          face_distances=face_distances, face_slots=face_slots,
+                          edges=tuple(edges), vertices=vertices,
+                          pair_orbits=pair_orbits, triple_orbits=triple_orbits)
 
 
 def build_cap_arrangement(delta: float) -> CapArrangement:

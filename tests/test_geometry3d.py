@@ -37,6 +37,7 @@ from overlatt.geometry3d import (
     _inclusion_exclusion,
     _line_foot,
     _regime_tables,
+    _span_fit,
     _triple_checks,
 )
 from overlatt.lattice import (
@@ -432,6 +433,188 @@ class TestCapTriple:
                 np.float64(1.0), *planes) == cap_triple_intersection_volume(
                     1.0, *planes)
 
+    @pytest.mark.parametrize("eps", (1e-8, 1e-12))
+    def test_near_apex_approaches_the_trihedral_cone(self, eps):
+        # three planes an eps off the centre: the face-cone sum meets the
+        # apex cone pi r^3 / 6 of the octant, less the three quarter disks
+        # of area pi r^2 / 4 swept through eps
+        q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
+        for r in (1.0, 2.5):
+            for frame in (np.eye(3), q):
+                planes = [(frame @ e, eps) for e in (EX, EY, EZ)]
+                v = cap_triple_intersection_volume(r, *planes)
+                assert v == pytest.approx(
+                    math.pi * r ** 3 / 6.0 - 0.75 * math.pi * r * r * eps,
+                    abs=1e-14 * r ** 3)
+                apex = cap_triple_intersection_volume(
+                    r, *[(n, 0.0) for n, _ in planes])
+                assert apex == pytest.approx(math.pi * r ** 3 / 6.0,
+                                             abs=1e-14 * r ** 3)
+
+    def test_face_through_the_centre_is_continuous(self):
+        # a face at d = 0 subtends no solid angle; at d = 1e-12 its cone
+        # is of that order, so the volume moves by about 1e-12 r^3
+        rng = np.random.default_rng(8)
+        tested = 0
+        while tested < 40:
+            n = rng.normal(size=(3, 3))
+            n /= np.linalg.norm(n, axis=1, keepdims=True)
+            d = [0.0, 0.0, 0.0]
+            d[1:] = rng.uniform(0.0, 0.5, size=2)
+            if tested % 2:
+                d[1] = 0.0
+            r = float(rng.uniform(0.7, 3.0))
+            at_zero = cap_triple_intersection_volume(r, *zip(n, d))
+            if at_zero == 0.0:
+                continue
+            for k in range(2 if tested % 2 else 1):
+                d[k] = 1e-12
+            near = cap_triple_intersection_volume(r, *zip(n, d))
+            assert abs(near - at_zero) <= 1e-11 * r ** 3
+            tested += 1
+
+    def test_plane_through_the_centre_splits_the_lens(self):
+        # the two sides of a plane through the centre are both face-cone
+        # sums, and together they make up the closed-form pair lens
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n = rng.normal(size=(3, 3))
+            n /= np.linalg.norm(n, axis=1, keepdims=True)
+            d = rng.uniform(0.0, 0.8, size=2)
+            r = float(rng.uniform(0.5, 2.0))
+            p1, p2 = (n[0], d[0]), (n[1], d[1])
+            halves = (cap_triple_intersection_volume(r, p1, p2, (n[2], 0.0))
+                      + cap_triple_intersection_volume(r, p1, p2,
+                                                       (-n[2], 0.0)))
+            assert halves == pytest.approx(
+                cap_pair_intersection_volume(r, p1, p2), abs=1e-14 * r ** 3)
+
+
+def _lapack_activation(normals, dists):
+    """Reference activation by LAPACK: every active subset, of any size,
+    solved with np.linalg.solve on its Gram matrix."""
+    m = len(dists)
+    if all(d <= 0.0 for d in dists):
+        return 0.0
+    best = math.inf
+    for mask in range(1, 1 << m):
+        idx = [i for i in range(m) if mask >> i & 1]
+        a = normals[idx]
+        try:
+            lam = np.linalg.solve(a @ a.T, dists[idx])
+        except np.linalg.LinAlgError:
+            continue
+        x = a.T @ lam
+        if float(np.max(np.abs(a @ x - dists[idx]))) > 1e-9:
+            continue
+        if all(float(x @ normals[j]) >= dists[j] - 1e-12
+               for j in range(m) if not mask >> j & 1):
+            best = min(best, float(np.linalg.norm(x)))
+    return best
+
+
+def _lstsq_lens(normals, dists):
+    """Reference lens decision of `_triple_checks`, by least squares."""
+    for k in range(3):
+        i, j = [t for t in range(3) if t != k]
+        m = np.column_stack([normals[i], normals[j]])
+        sol, *_ = np.linalg.lstsq(m, normals[k], rcond=None)
+        if float(np.linalg.norm(m @ sol - normals[k])) < 1e-10:
+            alpha, beta = float(sol[0]), float(sol[1])
+            if (alpha >= -1e-12 and beta >= -1e-12
+                    and alpha * dists[i] + beta * dists[j]
+                    >= dists[k] - 1e-12):
+                return (i, j)
+    return None
+
+
+def _plane_sets(count, seed):
+    """Seeded sets of 2 to 4 unit normals with distances, among them
+    parallel, antiparallel, collinear and coplanar normals and all
+    d <= 0."""
+    rng = np.random.default_rng(seed)
+    kinds = ("generic", "parallel", "antiparallel", "collinear", "coplanar",
+             "behind")
+    for t in range(count):
+        m = 2 + t % 3
+        kind = kinds[t // 3 % len(kinds)]
+        n = rng.normal(size=(m, 3))
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        d = rng.uniform(-0.5, 1.0, size=m)
+        if kind == "parallel":
+            n[1] = n[0]
+        elif kind == "antiparallel":
+            n[1] = -n[0]
+        elif kind == "collinear":
+            # every normal +-n[0], the fit's one-direction case
+            n[1:] = n[0]
+            n[1] = -n[0]
+        elif kind == "coplanar" and m > 2:
+            c = rng.normal(size=2) @ n[:2]
+            n[2] = c / np.linalg.norm(c)
+        elif kind == "behind":
+            d = -np.abs(d)
+        yield kind, n, d
+
+
+class TestClosedFormSetup:
+    def test_activation_matches_the_lapack_search(self):
+        kinds = collections.Counter()
+        for kind, n, d in _plane_sets(540, seed=12):
+            got, want = _activation_radius(n, d), _lapack_activation(n, d)
+            if math.isinf(want):
+                assert got == want
+            else:
+                assert abs(got - want) <= 1e-12 * max(1.0, want), (kind, n, d)
+            kinds[kind, len(d), math.isinf(want)] += 1
+        # every kind at every size, and some empty intersections
+        assert len({key[:2] for key in kinds}) == 18
+        assert sum(c for key, c in kinds.items() if key[2]) > 0
+
+    def test_lens_matches_a_least_squares_fit(self):
+        lenses = collections.Counter()
+        for kind, n, d in _plane_sets(540, seed=12):
+            if len(d) != 3:
+                continue
+            unit = tuple(tuple(x) for x in n.tolist())
+            lens = _triple_checks.__wrapped__(unit, tuple(d.tolist()))[0]
+            assert lens == _lstsq_lens(n, d), (kind, n, d)
+            # the fit itself is the least-squares (minimal-norm) one
+            for i, j, k in ((1, 2, 0), (0, 2, 1), (0, 1, 2)):
+                fit, *_ = np.linalg.lstsq(np.column_stack([n[i], n[j]]),
+                                          n[k], rcond=None)
+                assert _span_fit(unit[i], unit[j], unit[k])[1:] == (
+                    pytest.approx(fit.tolist(), abs=1e-9)), (kind, n)
+            lenses[kind, lens is not None] += 1
+        assert lenses["parallel", True] > 0 and lenses["coplanar", True] > 0
+        assert lenses["generic", False] > 0
+
+    def test_cold_union_solves_only_the_vertices(self, monkeypatch):
+        # a deterministic cost guard: a cold build and a union in the
+        # triple band solve one batched system, for the vertices; the
+        # activations and the lens checks are closed form
+        calls = collections.Counter()
+
+        def counting(name):
+            inner = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in ("solve", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        _build_arrangement.cache_clear()
+        _triple_checks.cache_clear()
+        arr = build_cap_arrangement(2.0)
+        dr = dual_radii_3d(2.0)
+        r = 0.5 * (dr.s1 + dr.s2)
+        assert any(o.activation < r for o in arr.triple_orbits)
+        assert voronoi_ball_volume_3d(2.0, r) > 0.0
+        assert _triple_checks.cache_info().misses >= 1
+        assert calls == {"solve": 1}
+
 
 class TestCapArrangement:
     def test_counts_below_one(self):
@@ -726,8 +909,8 @@ class TestTermOrbits:
 
     @pytest.mark.parametrize("delta", ORBIT_DELTAS)
     def test_union_checks_each_triple_orbit_once(self, delta):
-        # redundancy and activation do not depend on r: one least-squares
-        # and active-set pass per triple orbit, then only memo hits
+        # the lens, the activation and the face setup do not depend on r:
+        # one closed-form setup per triple orbit, then only memo hits
         _build_arrangement.cache_clear()
         _triple_checks.cache_clear()
         arr = build_cap_arrangement(delta)

@@ -1,6 +1,8 @@
-"""The package's layering: which modules each module imports from."""
+"""The package's layering (which modules each module imports from) and its
+public names."""
 
 import ast
+import types
 from pathlib import Path
 
 import overlatt
@@ -51,3 +53,35 @@ def test_imports_follow_the_layers():
             else:
                 assert source in allowed, \
                     f"{module} imports {name} from {source}"
+
+
+# the package's public names; a change to the exports changes this set
+PUBLIC = {
+    "CapArrangement", "CheckResult", "CriticalRadii2D", "CriticalRadii3D",
+    "DistortedLattice", "DualRadii3D", "McEstimate", "MeasureReport",
+    "NoClosedFormError", "NoCrossoverError", "OptimizeResult",
+    "OutOfBranchError", "OverlapMeasure", "QualityMode", "QualityQuery",
+    "QualityResult", "UndefinedRatioError", "VerifyReport", "__version__",
+    "build_cap_arrangement", "cap_pair_intersection_volume",
+    "cap_triple_intersection_volume", "covering_overlap_2d",
+    "covering_radius", "critical_radii_2d", "critical_radii_3d",
+    "crossover_omega", "density", "density_derivative_2d", "dist_overlap",
+    "dual_radii_3d", "free_space", "max_radius_for_overlap", "mc_union",
+    "mc_vol_overlap", "mc_volume_region", "measure_report", "named_lattice",
+    "nearest_lattice_point", "optimize_delta", "ordering_regime",
+    "packing_radius", "qual_covering", "qual_packing", "run_suite",
+    "shortest_vector_norm", "spherical_cap_volume", "union_fraction",
+    "unit_ball_volume", "vol_overlap", "vol_overlap_2d", "vol_overlap_3d",
+    "voronoi_ball_area", "voronoi_ball_volume_3d",
+}
+
+
+def test_public_names_are_pinned():
+    assert len(overlatt.__all__) == len(set(overlatt.__all__))
+    assert set(overlatt.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert hasattr(overlatt, name), name
+    # every other public name the package binds is one of its modules
+    for name in set(vars(overlatt)) - PUBLIC:
+        assert name.startswith("_") or isinstance(
+            getattr(overlatt, name), types.ModuleType), name
