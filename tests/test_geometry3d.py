@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import hashlib
 import itertools
 import math
 import os
@@ -1221,6 +1222,25 @@ class TestVoronoiBallVolume:
         rs = np.linspace(pack, cov * 1.2, 25)
         vals = [vol_overlap_3d(0.8, float(r)) for r in rs]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    UNION_DIGEST = "714f1e2c79a5a5767106b27eadd18c454a03ca71"
+
+    def test_union_bits_are_pinned(self):
+        """Pins every bit of 2,840 unions by the sha1 of their concatenated
+        float.hex strings: 40 radii per delta, at i/41 of the covering
+        radius, over 67 log-spaced deltas in [0.05, 20] and 1 +- 1e-8, 0.5
+        and 2.  A faster union must keep the digest.  The orthoscheme
+        union (ROADMAP item 2) is expected to move it; a change that does
+        must report every change, with the largest change of a union."""
+        deltas = [float(d) for d in np.geomspace(0.05, 20.0, 67)] + [
+            1.0 - 1e-8, 1.0 + 1e-8, 0.5, 2.0]
+        hexes = []
+        for delta in deltas:
+            cov = covering_radius(DistortedLattice(3, delta))
+            hexes += [float.hex(voronoi_ball_volume_3d(delta, cov * i / 41))
+                      for i in range(1, 41)]
+        digest = hashlib.sha1("".join(hexes).encode()).hexdigest()
+        assert digest == self.UNION_DIGEST
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
