@@ -45,8 +45,11 @@ delta.
 The coordinate permutations and the central inversion map L_delta onto
 itself (P B = B P), so they permute the faces, edges and vertices.  The
 arrangement groups the edge and vertex terms into orbits under these 12
-isometries and stores one activation per orbit; inclusion-exclusion
-evaluates one representative per orbit and weights it by the orbit size.
+isometries and stores one activation and the representative's planes per
+orbit; inclusion-exclusion evaluates one representative per orbit and
+weights it by the orbit size.  Normals are tuples of three Python floats
+and the radius-free set-up of a plane pair or triple is memoized
+(`_pair_checks`, `_triple_checks`), so a warm union runs no numpy.
 An edge term enters at the edge line, a vertex term at the least-norm
 point of its three halfspaces (closed form, from cross products), which
 need not be the vertex.  A pair volume is closed form by the divergence
@@ -68,8 +71,8 @@ from .lattice import (
     DistortedLattice,
     _check_delta,
     _check_radius,
+    _covering_radius,
     _unit_ball_volume,
-    covering_radius,
     packing_radius,
 )
 
@@ -170,22 +173,18 @@ def _clamp(x: float) -> float:
     return min(1.0, max(-1.0, x))
 
 
-def _norm(x: np.ndarray) -> float:
-    """Euclidean norm of a 1-D float array; equal to np.linalg.norm(x),
-    without its dispatch."""
-    return math.sqrt(float(x @ x))
-
-
-def _unit_normal(nrm) -> np.ndarray:
-    n = np.asarray(nrm, dtype=float)
+def _unit_normal(nrm) -> tuple:
+    """nrm, any array-like of three reals, as a tuple of Python floats;
+    ValueError unless it has three components and unit norm to 1e-12."""
+    n = tuple(map(float, nrm))
     # written so that a NaN norm fails too
-    if not abs(_norm(n) - 1.0) < 1e-12:
-        raise ValueError("plane normals must be unit vectors")
+    if len(n) != 3 or not abs(math.sqrt(_dot(n, n)) - 1.0) < 1e-12:
+        raise ValueError("plane normals must be unit 3-vectors")
     return n
 
 
 def _plane(plane) -> tuple:
-    """A validated (unit normal array, float distance) pair."""
+    """A validated (unit normal tuple, float distance) pair."""
     nrm, d = plane
     d = float(d)
     if math.isnan(d):
@@ -209,13 +208,25 @@ def _norm_cross(u, v) -> float:
                      + (u[0] * v[1] - u[1] * v[0]) ** 2)
 
 
+@lru_cache(maxsize=4096)
+def _pair_checks(n1: tuple, n2: tuple) -> tuple:
+    """(cos, angle, sin) between two unit normals, memoized per pair.  The
+    angle comes from the cross product too, so (anti)parallel normals are
+    caught even where |cos| rounds short of 1.  The cos is numpy's dot, as
+    the pinned bits: a Python sum of the products rounds differently."""
+    cg = _clamp(float(np.array(n1) @ np.array(n2)))
+    gamma = math.atan2(_norm_cross(n1, n2), cg)
+    return cg, gamma, math.sin(gamma)
+
+
 def cap_pair_intersection_volume(r: float, plane1, plane2) -> float:
     """Volume of the ball region beyond both planes (a spherical lens).
 
-    Each plane is (unit normal, signed distance from the ball center).
-    Divergence theorem: 3V = r * A_sphere - d1 * A_face1 - d2 * A_face2,
-    with the spherical patch area from the two cone half-angles and the
-    dihedral geometry, and each flat face a circular segment.
+    Each plane is (unit normal, signed distance from the ball center),
+    the normal any array-like of three reals.  Divergence theorem: 3V =
+    r * A_sphere - d1 * A_face1 - d2 * A_face2, with the spherical patch
+    area from the two cone half-angles and the dihedral angle (set up
+    once per normal pair), and each flat face a circular segment.
     """
     _check_radius(r)
     n1, d1 = _plane(plane1)
@@ -226,10 +237,7 @@ def cap_pair_intersection_volume(r: float, plane1, plane2) -> float:
         return spherical_cap_volume(r, d2)
     if d2 <= -r:
         return spherical_cap_volume(r, d1)
-    cg = _clamp(float(n1 @ n2))
-    # from the cross product too, so (anti)parallel normals are caught
-    # below even when rounding leaves |cg| a few ulps short of 1
-    gamma = math.atan2(_norm_cross(n1, n2), cg)
+    cg, gamma, sg = _pair_checks(n1, n2)
     if gamma < 1e-12:
         return spherical_cap_volume(r, max(d1, d2))
     if gamma > math.pi - 1e-12:
@@ -243,7 +251,6 @@ def cap_pair_intersection_volume(r: float, plane1, plane2) -> float:
     if gamma <= abs(th1 - th2):
         # one cap contains the other
         return spherical_cap_volume(r, max(d1, d2))
-    sg = math.sin(gamma)
     c1, s1 = d1 / r, math.sin(th1)
     c2, s2 = d2 / r, math.sin(th2)
     alpha_p = math.acos(_clamp((cg - c1 * c2) / (s1 * s2)))
@@ -475,29 +482,25 @@ def cap_triple_intersection_volume(r: float, plane1, plane2, plane3) -> float:
     _check_radius(r)
     # a numpy scalar radius would leak numpy floats into the sum
     r = float(r)
-    normals, dists = zip(*(_plane(p) for p in (plane1, plane2, plane3)))
+    planes = [_plane(p) for p in (plane1, plane2, plane3)]
+    normals, dists = zip(*planes)
     if r == 0.0 or any(d >= r for d in dists):
         return 0.0
     for k in range(3):
         if dists[k] <= -r:
-            i, j = [t for t in range(3) if t != k]
-            return cap_pair_intersection_volume(
-                r, (normals[i], dists[i]), (normals[j], dists[j]))
-    unit = tuple(tuple(n.tolist()) for n in normals)
-    lens, activation, cone, faces = _triple_checks(unit, tuple(dists))
+            pi, pj = (planes[t] for t in range(3) if t != k)
+            return cap_pair_intersection_volume(r, pi, pj)
+    lens, activation, cone, faces = _triple_checks(normals, dists)
     if lens is not None:
-        i, j = lens
-        return cap_pair_intersection_volume(
-            r, (normals[i], dists[i]), (normals[j], dists[j]))
+        return cap_pair_intersection_volume(r, *(planes[t] for t in lens))
     if activation >= r:
         return 0.0
     for k in range(3):
         if dists[k] < 0.0:
-            i, j = [t for t in range(3) if t != k]
-            pi, pj = (normals[i], dists[i]), (normals[j], dists[j])
+            pi, pj = (planes[t] for t in range(3) if t != k)
+            flip = (tuple(-x for x in normals[k]), -dists[k])
             return max(0.0, cap_pair_intersection_volume(r, pi, pj)
-                       - cap_triple_intersection_volume(
-                           r, pi, pj, (-normals[k], -dists[k])))
+                       - cap_triple_intersection_volume(r, pi, pj, flip))
     return max(_face_cones(r, cone, faces), 0.0)
 
 
@@ -509,7 +512,7 @@ class Plane:
     """One cell face: integer coefficient vector, unit normal, distance."""
 
     coeffs: tuple
-    normal: np.ndarray = field(compare=False)
+    normal: tuple = field(compare=False)
     distance: float = 0.0
 
 
@@ -524,7 +527,7 @@ class Edge:
 
 @dataclass(frozen=True)
 class Vertex:
-    """One cell vertex: position, distance from the center, face valence."""
+    """One cell vertex: read-only position, distance from center, valence."""
 
     position: np.ndarray = field(compare=False)
     distance: float = 0.0
@@ -536,12 +539,13 @@ class TermOrbit:
     """Face pairs or triples that the cell isometries map onto each other.
 
     members are face index tuples in index order, so members[0] is the
-    representative; every member shares the activation distance and the
-    cap intersection volume.
+    representative, whose (normal, distance) planes rep_planes holds;
+    every member shares the activation distance and the cap volume.
     """
 
     members: tuple
     activation: float
+    rep_planes: tuple = field(default=(), compare=False)
 
     @property
     def size(self) -> int:
@@ -604,16 +608,24 @@ def _coeff_type(v) -> int:
     return 0
 
 
-def _line_foot(n1: np.ndarray, d1: float, n2: np.ndarray, d2: float):
-    """Least-norm point on the intersection line of two nonparallel planes."""
-    a = float(n1 @ n2)
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis, as a stacked matmul: bit for bit the 1-D
+    a_i @ b_i of each row, which einsum and (a * b).sum(-1) are not."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _line_foot(n1: np.ndarray, d1, n2: np.ndarray, d2):
+    """Least-norm point on the intersection line of two nonparallel planes,
+    or one per row for normals of shape (..., 3) and distances (...)."""
+    a = _row_dots(n1, n2)
     # a^2 rounds to 1 or more once floating point cannot tell the faces
     # apart; otherwise 1 - a^2 is at least 2^-53
     den = 1.0 - a * a
-    if not den > 0.0:
+    if not np.all(den > 0.0):
         raise ValueError("two adjacent cell faces are parallel in floating "
                          "point")
-    return ((d1 - a * d2) * n1 + (d2 - a * d1) * n2) / den
+    return ((d1 - a * d2)[..., None] * n1
+            + (d2 - a * d1)[..., None] * n2) / den[..., None]
 
 
 # The cell isometries: the coordinate permutations, each with and without
@@ -744,17 +756,18 @@ def _build_arrangement(delta: float) -> CapArrangement:
         "cube" if degenerate else "below" if delta < 1.0 else "above")
     # the farthest vertex of the catalog's cell; the cube stands in for
     # every cell within 1e-9 of delta = 1
-    cov = _SQRT3 / 2.0 if degenerate else covering_radius(lat)
+    cov = _SQRT3 / 2.0 if degenerate else _covering_radius(3, delta)
 
     # the face of B c lies at half its norm
     points = tables.points @ lat.basis.T
-    norms = [_norm(p) for p in points]
-    _check_catalog_radius("nearest face", min(norms) / 2.0,
+    norms = np.sqrt(_row_dots(points, points))
+    _check_catalog_radius("nearest face", float(norms.min()) / 2.0,
                           packing_radius(lat), delta)
-    planes = tuple(Plane(coeffs=c, normal=p / nrm, distance=nrm / 2.0)
-                   for c, p, nrm in zip(tables.coeffs, points, norms))
-    normals = np.array([p.normal for p in planes])
-    dists = np.array([p.distance for p in planes])
+    normals = points / norms[:, None]
+    dists = norms / 2.0
+    planes = tuple(Plane(coeffs=c, normal=tuple(n), distance=d)
+                   for c, n, d in zip(tables.coeffs, normals.tolist(),
+                                      dists.tolist()))
     # exact floats, not orbits: one orbit's faces can lie an ulp apart
     face_distances = tuple(sorted({p.distance for p in planes}))
     slot = {d: k for k, d in enumerate(face_distances)}
@@ -762,33 +775,36 @@ def _build_arrangement(delta: float) -> CapArrangement:
 
     # any three faces of a vertex are independent and fix its position
     faces = tables.vertex_faces
-    positions = np.linalg.solve(normals[faces], dists[faces][..., None])
-    vertices = tuple(Vertex(position=x, distance=_norm(x), valence=len(inc))
-                     for x, inc in zip(positions[..., 0], tables.incidences))
+    solved = np.linalg.solve(normals[faces], dists[faces, None])
+    solved.flags.writeable = False
+    positions = solved[..., 0]
+    lengths = np.sqrt(_row_dots(positions, positions)).tolist()
+    vertices = tuple(Vertex(position=x, distance=v, valence=len(f))
+                     for x, v, f in zip(positions, lengths, tables.incidences))
     _check_catalog_radius("farthest vertex",
                           max(v.distance for v in vertices), cov, delta)
 
-    edges = []
-    for (i, j), subtype in tables.edges:
-        foot = _line_foot(normals[i], dists[i], normals[j], dists[j])
-        edges.append(Edge(planes=(i, j), distance=_norm(foot),
-                          subtype=subtype))
+    i, j = np.array([pair for pair, _ in tables.edges]).T
+    feet = _line_foot(normals[i], dists[i], normals[j], dists[j])
+    lengths = np.sqrt(_row_dots(feet, feet)).tolist()
+    edges = tuple(Edge(planes=pair, distance=v, subtype=subtype)
+                  for (pair, subtype), v in zip(tables.edges, lengths))
 
     # the foot d n of a Voronoi-relevant face lies inside that face, so an
     # edge's pair region comes nearest on the edge line; a vertex's triple
     # region need not come nearest at the vertex
     line = {e.planes: e.distance for e in edges}
-    pair_orbits = tuple(TermOrbit(members=members, activation=line[members[0]])
-                        for members in tables.pair_orbits)
-    triple_orbits = tuple(
-        TermOrbit(members=members,
-                  activation=_activation_radius(normals[list(members[0])],
-                                                dists[list(members[0])]))
-        for members in tables.triple_orbits)
+    rep = {m: tuple((planes[t].normal, planes[t].distance) for t in m[0])
+           for m in tables.pair_orbits + tables.triple_orbits}
+    pair_orbits = tuple(TermOrbit(m, line[m[0]], rep[m])
+                        for m in tables.pair_orbits)
+    triple_orbits = tuple(TermOrbit(m, _activation_radius(*zip(*rep[m])),
+                                    rep[m])
+                          for m in tables.triple_orbits)
 
     return CapArrangement(delta=delta, degenerate=degenerate, planes=planes,
                           face_distances=face_distances, face_slots=face_slots,
-                          edges=tuple(edges), vertices=vertices,
+                          edges=edges, vertices=vertices,
                           pair_orbits=pair_orbits, triple_orbits=triple_orbits)
 
 
@@ -814,15 +830,11 @@ def _inclusion_exclusion(arr: CapArrangement, r: float) -> float:
         vol -= caps[k]
     for orb in arr.pair_orbits:
         if orb.activation < r:
-            pi, pj = (arr.planes[t] for t in orb.members[0])
-            vol += orb.size * cap_pair_intersection_volume(
-                r, (pi.normal, pi.distance), (pj.normal, pj.distance))
+            vol += orb.size * cap_pair_intersection_volume(r, *orb.rep_planes)
     for orb in arr.triple_orbits:
         if orb.activation < r:
-            pi, pj, pk = (arr.planes[t] for t in orb.members[0])
             vol -= orb.size * cap_triple_intersection_volume(
-                r, (pi.normal, pi.distance), (pj.normal, pj.distance),
-                (pk.normal, pk.distance))
+                r, *orb.rep_planes)
     return vol
 
 
@@ -834,8 +846,7 @@ def voronoi_ball_volume_3d(delta: float, r: float) -> float:
     """
     _check_delta(delta)
     _check_radius(r)
-    lat = DistortedLattice(3, delta)
-    if r >= covering_radius(lat):
+    if r >= _covering_radius(3, delta):
         return delta
     arr = build_cap_arrangement(delta)
     if r <= arr.face_distances[0]:

@@ -138,7 +138,11 @@ def packing_radius(lat: DistortedLattice) -> float:
 def covering_radius(lat: DistortedLattice) -> float:
     """Smallest radius whose balls cover space (deep hole distance).
     OverflowError where delta^2 overflows (delta above about 1.34e154)."""
-    n, d = lat.n, lat.delta
+    return _covering_radius(lat.n, lat.delta)
+
+
+def _covering_radius(n: int, d: float) -> float:
+    # unchecked, for a caller that holds a checked n and delta, not a lattice
     d2 = d * d
     if d <= 1.0:
         n2 = n * n

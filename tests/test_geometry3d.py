@@ -37,6 +37,7 @@ from overlatt.geometry3d import (
     _image,
     _inclusion_exclusion,
     _line_foot,
+    _pair_checks,
     _regime_tables,
     _span_fit,
     _triple_checks,
@@ -217,6 +218,17 @@ class TestCapPair:
         with pytest.raises(ValueError, match="unit"):
             cap_pair_intersection_volume(1.0, (EX, 0.1), (nan, 0.1))
 
+    def test_rejects_normals_without_three_components(self):
+        # two unit 4-vectors used to give a volume (1.18), a 2-vector an
+        # IndexError
+        with pytest.raises(ValueError, match="3-vectors"):
+            cap_pair_intersection_volume(1.0, ((0.0, 0.0, 0.0, 1.0), 0.2),
+                                         ((0.0, 1.0, 0.0, 0.0), 0.3))
+        for bad in ((0.0, 0.0, 0.0, 1.0), (0.0, 1.0)):
+            for planes in (((bad, 0.2), (EY, 0.3)), ((EY, 0.3), (bad, 0.2))):
+                with pytest.raises(ValueError, match="3-vectors"):
+                    cap_pair_intersection_volume(1.0, *planes)
+
     def test_rejects_nan_distance(self):
         with pytest.raises(ValueError, match="NaN"):
             cap_pair_intersection_volume(1.0, (EX, math.nan), (EY, 0.1))
@@ -329,6 +341,13 @@ class TestCapTriple:
                        ((EX, 0.1), (EY, 0.1), (nan, 0.1))):
             with pytest.raises(ValueError, match="unit"):
                 cap_triple_intersection_volume(1.0, *planes)
+
+    def test_rejects_normals_without_three_components(self):
+        for bad in ((0.0, 0.0, 0.0, 1.0), (0.0, 1.0)):
+            for planes in (((bad, 0.1), (EY, 0.1), (EZ, 0.1)),
+                           ((EX, 0.1), (EY, 0.1), (bad, 0.1))):
+                with pytest.raises(ValueError, match="3-vectors"):
+                    cap_triple_intersection_volume(1.0, *planes)
 
     def test_rejects_nan_distance(self):
         for planes in (((EX, math.nan), (EY, 0.1), (EZ, 0.1)),
@@ -616,6 +635,28 @@ class TestClosedFormSetup:
         assert _triple_checks.cache_info().misses >= 1
         assert calls == {"solve": 1}
 
+    def test_warm_union_runs_no_numpy(self, monkeypatch):
+        # a deterministic cost guard: after one union in the triple band
+        # the pair set-up is memoized once per active pair orbit, and the
+        # next union runs on the arrangement's Python floats alone
+        _build_arrangement.cache_clear()
+        _pair_checks.cache_clear()
+        _triple_checks.cache_clear()
+        dr = dual_radii_3d(2.0)
+        r = 0.5 * (dr.s1 + dr.s2)
+        want = voronoi_ball_volume_3d(2.0, r)
+        arr = build_cap_arrangement(2.0)
+        assert any(o.activation < r for o in arr.triple_orbits)
+        assert _pair_checks.cache_info().misses == sum(
+            o.activation < r for o in arr.pair_orbits)
+
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} in a warm union")
+
+        monkeypatch.setattr(geometry3d, "np", NoNumpy())
+        assert voronoi_ball_volume_3d(2.0, r) == want
+
 
 class TestCapArrangement:
     def test_counts_below_one(self):
@@ -625,6 +666,20 @@ class TestCapArrangement:
             assert len(arr.edges) == 36
             assert len(arr.vertices) == 24
             assert not arr.degenerate
+
+    def test_cached_arrangement_is_read_only(self):
+        # flipping the normal of a pair orbit's face in place used to
+        # change every later union at this delta (to 0.4986982755445106)
+        arr = build_cap_arrangement(0.5)
+        face = arr.pair_orbits[0].members[0][0]
+        with pytest.raises(TypeError):
+            arr.planes[face].normal[:] = [-x for x in arr.planes[face].normal]
+        for v in arr.vertices:
+            with pytest.raises(ValueError):
+                v.position[:] = 0.0
+            with pytest.raises(ValueError):
+                v.position.flags.writeable = True
+        assert voronoi_ball_volume_3d(0.5, 0.55) == 0.4999302643932687
 
     def test_counts_at_one(self):
         arr = build_cap_arrangement(1.0)
