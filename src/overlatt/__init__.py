@@ -12,7 +12,6 @@ from .lattice import (
     packing_radius,
     covering_radius,
     shortest_vector_norm,
-    nearest_lattice_point,
 )
 from .oracle import McEstimate, mc_union, mc_vol_overlap, mc_volume_region
 from .geometry2d import (
@@ -31,7 +30,6 @@ from .geometry3d import (
     cap_triple_intersection_volume,
     critical_radii_3d,
     dual_radii_3d,
-    ordering_regime,
     spherical_cap_volume,
     vol_overlap_3d,
     voronoi_ball_volume_3d,
@@ -73,7 +71,6 @@ __all__ = [
     "packing_radius",
     "covering_radius",
     "shortest_vector_norm",
-    "nearest_lattice_point",
     "McEstimate",
     "mc_union",
     "mc_vol_overlap",
@@ -89,7 +86,6 @@ __all__ = [
     "build_cap_arrangement",
     "critical_radii_3d",
     "dual_radii_3d",
-    "ordering_regime",
     "spherical_cap_volume",
     "cap_pair_intersection_volume",
     "cap_triple_intersection_volume",

@@ -31,11 +31,11 @@ class CriticalRadii2D:
 
 def critical_radii_2d(delta: float) -> CriticalRadii2D:
     """The three critical radii for delta in (0, 1]."""
-    _check_delta(delta)
+    delta = _check_delta(delta)
     if delta > 1.0:
         raise ValueError(f"catalog covers delta in (0, 1]; reduce delta={delta} "
                          "via the 1/delta rescaling first")
-    return _critical_radii_2d(float(delta))
+    return _critical_radii_2d(delta)
 
 
 @lru_cache(maxsize=1024)
@@ -69,9 +69,7 @@ def voronoi_ball_area(delta: float, r: float) -> float:
     pi r^2 below the first edge distance; pi r^2 minus the active circular
     segments up to the vertex radius r3; the full cell area delta beyond.
     """
-    _check_delta(delta)
-    _check_radius(r)
-    return _area_and_slope(delta, r)[0]
+    return _area_and_slope(_check_delta(delta), _check_radius(r))[0]
 
 
 def _area_and_slope(delta: float, r: float) -> tuple[float, float]:
@@ -88,7 +86,7 @@ def _area_and_slope(delta: float, r: float) -> tuple[float, float]:
             raise OverflowError(f"delta^2 overflows at delta={delta!r}")
         area, slope = _area_and_slope(1.0 / delta, r / delta)
         return scale * area, delta * slope
-    rad = _critical_radii_2d(float(delta))
+    rad = _critical_radii_2d(delta)
     if r <= min(rad.r1, rad.r2):
         return math.pi * r * r, 2.0 * math.pi * r
     if r <= rad.r3:
@@ -106,8 +104,7 @@ def _area_and_slope(delta: float, r: float) -> tuple[float, float]:
 
 def vol_overlap_2d(delta: float, r: float) -> float:
     """Volume-based overlap in 2D: density minus covered cell fraction."""
-    _check_delta(delta)
-    _check_radius(r)
+    delta, r = _check_delta(delta), _check_radius(r)
     if delta > 1.0:
         # density and union are both invariant under the mirror rescaling
         return vol_overlap_2d(1.0 / delta, r / delta)
@@ -120,7 +117,7 @@ def covering_overlap_2d(delta: float) -> float:
 
     vol_overlap at r3: pi (delta^2 + 1)^2 / (8 delta) - 1.
     """
-    _check_delta(delta)
+    delta = _check_delta(delta)
     if delta > 1.0:
         return covering_overlap_2d(1.0 / delta)
     d2 = delta * delta

@@ -23,19 +23,24 @@ DELTA_MIN = 0.05
 DELTA_MAX = 20.0
 
 
-def _check_delta(delta, name: str = "distortion") -> None:
+def _check_delta(delta, name: str = "distortion") -> float:
     """The package's check of a distortion, or of any argument named
-    `name` that must be a finite real > 0: a bool is refused."""
+    `name` that must be a finite real > 0: delta as a Python float (a
+    numpy scalar would run the closed forms on numpy arithmetic and leak
+    into their results); a bool is refused."""
     # False fails the range, and `is True` costs less than isinstance
     if delta is True or not 0.0 < delta < math.inf:
         raise ValueError(f"{name} must be a finite number > 0, got {delta!r}")
+    return float(delta)
 
 
-def _check_radius(r, name: str = "radius") -> None:
+def _check_radius(r, name: str = "radius") -> float:
     """The package's check of a radius, or of any argument named `name`
-    that must be a finite real >= 0: a bool is refused."""
+    that must be a finite real >= 0: r as a Python float, as
+    `_check_delta`; a bool is refused."""
     if r is True or r is False or not 0.0 <= r < math.inf:
         raise ValueError(f"{name} must be finite and >= 0, got {r}")
+    return float(r)
 
 
 def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
@@ -81,8 +86,9 @@ class DistortedLattice:
 
     n is any integer >= 2 (a numpy integer is stored as a Python int;
     bools and floats are rejected) and delta a finite real > 0 (not a
-    bool).  Density and the Monte Carlo oracle work in every dimension;
-    union and the volume overlap have closed forms for n = 2 and 3 only.
+    bool), stored as a Python float.  Density and the Monte Carlo oracle
+    work in every dimension; union and the volume overlap have closed
+    forms for n = 2 and 3 only.
     """
 
     n: int
@@ -92,7 +98,9 @@ class DistortedLattice:
         # _objective builds thousands of lattices: keep int n cheap
         if type(self.n) is not int or self.n < 2:
             object.__setattr__(self, "n", _check_int("dimension", self.n, 2))
-        _check_delta(self.delta)
+        delta = _check_delta(self.delta)
+        if delta is not self.delta:
+            object.__setattr__(self, "delta", delta)
 
     @cached_property
     def basis(self) -> np.ndarray:
@@ -107,16 +115,6 @@ class DistortedLattice:
         # (I + a J)^-1 = I - (a / (1 + n a)) J and 1 + n a = delta.
         a = (self.delta - 1.0) / self.n
         return np.eye(self.n) - (a / self.delta) * np.ones((self.n, self.n))
-
-    @property
-    def determinant(self) -> float:
-        """Voronoi cell volume; equals delta exactly."""
-        return self.delta
-
-    def lattice_point(self, coeffs) -> np.ndarray:
-        """Map integer coefficients to the lattice point B @ coeffs."""
-        c = np.asarray(coeffs, dtype=float)
-        return self.basis @ c
 
 
 def packing_radius(lat: DistortedLattice) -> float:
@@ -192,11 +190,6 @@ def named_lattice(name: str, n: int | None = None) -> DistortedLattice:
 
 # -- nearest point ------------------------------------------------------------
 
-# tie tolerances of nearest_lattice_point: in the coefficients of
-# B^-1 p, and relative in the squared distance
-_TIE_COEFF = 1e-12
-_TIE_DIST2 = 1e-9
-
 
 def nearest_distances(lat: DistortedLattice, points) -> np.ndarray:
     """Distance to the lattice of each row of a finite (k, n) array.
@@ -220,56 +213,6 @@ def nearest_distances(lat: DistortedLattice, points) -> np.ndarray:
     x[x >= 1.0] = 0.0  # the kernel takes rows in [0, 1)^n
     d2 = _squared_distances(x, *coverage_offsets(lat))
     return np.sqrt(np.maximum(d2, 0.0))
-
-
-def nearest_lattice_point(lat: DistortedLattice, p) -> tuple[np.ndarray, float]:
-    """Nearest lattice point to p and its distance.
-
-    With u = B^-1 p and x = u - floor(u), the candidate of class
-    m = 0..n-1 is floor(u) plus ones on the m largest coordinates of x,
-    shifted by j * ones to the coefficient sum congruent to m nearest to
-    sum u; the nearest lattice point is one of these n candidates.
-
-    Ties go to the lexicographically smallest integer coefficient vector,
-    within stated tolerances: candidates whose squared distances agree to
-    1e-9 relative tie, and within a class, coordinates of x that agree to
-    1e-12 (or lie within 1e-12 below 1, which counts as 0) are equal, so
-    the ones go to the highest indices among them, and a sum within 1e-12
-    of halfway between two shifts takes the lower one.  Exact ties, up to
-    rounding, therefore resolve to the lexicographic minimum.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (lat.n,):
-        raise ValueError(f"point must have shape ({lat.n},), got {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("point must be finite")
-    n = lat.n
-    u = lat.inverse_basis @ p
-    base = np.floor(u)
-    x = u - base
-    whole = x > 1.0 - _TIE_COEFF
-    base[whole] += 1.0
-    x[whole] = 0.0
-    # coordinates by descending x, a run of near-equal ones by
-    # descending index
-    order, run = [], []
-    for i in sorted(range(n), key=lambda i: -x[i]):
-        if run and x[run[-1]] - x[i] > _TIE_COEFF:
-            order += sorted(run, reverse=True)
-            run = []
-        run.append(i)
-    order += sorted(run, reverse=True)
-    cand = np.tile(base, (n, 1))  # row m: class m
-    for k, i in enumerate(order[:-1], start=1):
-        cand[k:, i] += 1.0
-    # the shift j nearest to (sum x - m) / n, the lower one at halfway
-    cand += np.ceil((x.sum() - np.arange(n) - _TIE_COEFF) / n - 0.5)[:, None]
-    diffs = p[None, :] - cand @ lat.basis.T
-    d2 = np.einsum("ij,ij->i", diffs, diffs)
-    tied = np.nonzero(d2 <= d2.min() * (1.0 + _TIE_DIST2))[0]
-    pick = tied[np.lexsort(cand[tied].T[::-1])[0]]
-    point = cand[pick] @ lat.basis.T
-    return point, math.sqrt(d2[pick])
 
 
 # -- residue-class decoder ---------------------------------------------------

@@ -83,11 +83,12 @@ class MeasureReport(NamedTuple):
         return self._asdict()
 
 
-def _validate_radius(r: float, positive: bool = False):
-    _check_radius(r)
+def _validate_radius(r: float, positive: bool = False) -> float:
+    r = _check_radius(r)
     if positive and r == 0.0:
         raise UndefinedRatioError("measure is a ratio with r in the "
                                   "denominator; r = 0 is undefined")
+    return r
 
 
 def density(lat: DistortedLattice, r: float) -> float:
@@ -95,8 +96,7 @@ def density(lat: DistortedLattice, r: float) -> float:
 
     Exact in every dimension n >= 2.
     """
-    _validate_radius(r)
-    return _density(lat, r)
+    return _density(lat, _validate_radius(r))
 
 
 def _density(lat: DistortedLattice, r: float) -> float:
@@ -115,7 +115,7 @@ def union_fraction(lat: DistortedLattice, r: float) -> float:
         return voronoi_ball_area(lat.delta, r) / lat.delta
     if lat.n == 3:
         return voronoi_ball_volume_3d(lat.delta, r) / lat.delta
-    _validate_radius(r)
+    r = _validate_radius(r)
     if r >= covering_radius(lat):
         return 1.0
     if r <= packing_radius(lat):
@@ -132,7 +132,7 @@ def dist_overlap(lat: DistortedLattice, r: float) -> float:
     Equals (2r - shortest_vector_norm) / (2r) clamped at zero: the
     diameter fraction by which the two closest balls interpenetrate.
     """
-    _validate_radius(r, positive=True)
+    r = _validate_radius(r, positive=True)
     return max((2.0 * r - shortest_vector_norm(lat)) / (2.0 * r), 0.0)
 
 
@@ -142,7 +142,7 @@ def vol_overlap(lat: DistortedLattice, r: float) -> float:
 
     Supports the same dimensions and radii as union_fraction.
     """
-    # union_fraction validates r
+    r = _validate_radius(r)
     return max(_density(lat, r) - union_fraction(lat, r), 0.0)
 
 
@@ -150,7 +150,7 @@ def _vol_overlap_and_slope(lat: DistortedLattice,
                            r: float) -> tuple[float, float]:
     """vol_overlap of a 2D lattice, bit for bit, and its r-slope
     (2 pi r - dA/dr) / delta, from one evaluation of the area branches."""
-    _check_radius(r)
+    r = _check_radius(r)
     area, slope = _area_and_slope(lat.delta, r)
     overlap = max(_density(lat, r) - area / lat.delta, 0.0)
     return overlap, (2.0 * math.pi * r - slope) / lat.delta
@@ -162,7 +162,7 @@ def free_space(lat: DistortedLattice, r: float) -> float:
     Equals (covering_radius - r) / r clamped at zero; zero at or beyond
     the covering radius.
     """
-    _validate_radius(r, positive=True)
+    r = _validate_radius(r, positive=True)
     return max((covering_radius(lat) - r) / r, 0.0)
 
 
@@ -172,7 +172,7 @@ def measure_report(lat: DistortedLattice, r: float) -> MeasureReport:
     Union is evaluated once and reused for vol_overlap.  Dimensions and
     radii as for union_fraction.
     """
-    _validate_radius(r, positive=True)
+    r = _validate_radius(r, positive=True)
     dens = density(lat, r)
     uni = union_fraction(lat, r)
     return MeasureReport(

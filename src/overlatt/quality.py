@@ -132,11 +132,12 @@ class OptimizeResult(NamedTuple):
     plateau_ranges: tuple[tuple[float, float], ...]
 
 
-def _validate_omega(measure: OverlapMeasure | None, omega: float):
-    _check_radius(omega, "omega")
+def _validate_omega(measure: OverlapMeasure | None, omega: float) -> float:
+    omega = _check_radius(omega, "omega")
     if measure is OverlapMeasure.DISTANCE_BASED and omega >= 1.0:
         raise ValueError("distance-based overlap never reaches 1; "
                          f"omega must be < 1, got {omega}")
+    return omega
 
 
 def max_radius_for_overlap(lat: DistortedLattice,
@@ -177,7 +178,7 @@ def max_radius_for_overlap(lat: DistortedLattice,
     returns the packing radius at omega = 0 and raises
     NoClosedFormError for any omega > 0.
     """
-    _validate_omega(measure, omega)
+    omega = _validate_omega(measure, omega)
     if measure is OverlapMeasure.DISTANCE_BASED:
         return shortest_vector_norm(lat) / (2.0 * (1.0 - omega))
     if measure is not OverlapMeasure.VOLUME_BASED:
@@ -331,8 +332,7 @@ def density_derivative_2d(delta: float, omega: float) -> float:
     positive below 1/sqrt(3) on the first branch, negative above it on
     the second.
     """
-    _check_delta(delta)
-    _check_radius(omega, "omega")
+    delta, omega = _check_delta(delta), _check_radius(omega, "omega")
     if delta >= 1.0:
         raise OutOfBranchError(f"derivative branches cover 0 < delta < 1, "
                                f"got {delta}")
@@ -390,6 +390,7 @@ def qual_packing(lat: DistortedLattice, measure: OverlapMeasure,
     measure, the closed forms of n = 2 and 3 for the volume measure.
     The union column is NaN where n > 3 has no closed form.
     """
+    omega = _validate_omega(measure, omega)
     r = max_radius_for_overlap(lat, measure, omega)
     union = _union_or_nan(lat, r)
     if measure is OverlapMeasure.VOLUME_BASED:
@@ -418,7 +419,7 @@ def qual_covering(lat: DistortedLattice, omega: float) -> QualityResult:
     Any dimension n >= 2; the union column is NaN where n > 3 has no
     closed form.
     """
-    _validate_omega(None, omega)
+    omega = _validate_omega(None, omega)
     r = covering_radius(lat) / (1.0 + omega)
     return QualityResult(
         delta=lat.delta,

@@ -27,8 +27,7 @@ set_hypothesis_home_dir(_hypothesis_home.name)
 
 
 def _brute_nearest(lat, points):
-    """Squared distance to the lattice of each row of points, and the
-    lexicographically smallest nearest coefficient vector.
+    """Squared distance to the lattice of each row of points.
 
     Enumerates rint(B^-1 p) + {-2..2}^n.  The window of +-2 suffices for
     every delta > 0: split the residual of the nearest point into a part
@@ -37,26 +36,21 @@ def _brute_nearest(lat, points):
     coefficient error is at most 1/2, and between the bisectors of
     e_i - e_j, so the orthogonal part is at most (n-1)/n per coordinate;
     with the rounding error of 1/2 each coordinate is off by less than 2.
-    Squared distances within 1e-9 relative tie.  The window has 5^n
-    vectors, so n is bounded to 6.
+    The window has 5^n vectors, so n is bounded to 6.
     """
     assert lat.n <= 6
     offsets = np.array(list(itertools.product(range(-2, 3), repeat=lat.n)),
-                       dtype=float)  # in lexicographic order
+                       dtype=float)
     points = np.asarray(points, dtype=float)
     base = np.rint(points @ lat.inverse_basis.T)
     resid = points - base @ lat.basis.T
     vecs = offsets @ lat.basis.T
     best = np.empty(len(points))
-    first = np.empty(len(points), dtype=int)
     step = max(1, (1 << 16) // len(offsets))
     for s in range(0, len(points), step):
         diff = resid[s:s + step, None, :] - vecs[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        best[s:s + step] = d2.min(axis=1)
-        first[s:s + step] = np.argmax(
-            d2 <= best[s:s + step, None] * (1.0 + 1e-9), axis=1)
-    return best, base + offsets[first]
+        best[s:s + step] = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1)
+    return best
 
 
 @pytest.fixture

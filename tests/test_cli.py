@@ -131,6 +131,15 @@ class TestMeasure:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_union_far_from_one_exits_2(self, capsys):
+        # just below the covering radius: the cap terms gave 0.671 here
+        code, out, err = run(capsys, "measure", "--dim", "3", "--delta",
+                             "1e8", "--r", "28867513.45")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "only for delta in [0.001, 50]" in err
+
     def test_overflow_message_is_readable(self, capsys):
         code, out, err = run(capsys, "measure", "--dim", "3", "--delta",
                              "0.5", "--r", "1e150")

@@ -1,5 +1,6 @@
 """Tests for the 3D cell-ball volume machinery."""
 
+import bisect
 import collections
 import functools
 import hashlib
@@ -17,7 +18,6 @@ from overlatt.cli import main as cli_main
 from overlatt.geometry3d import (
     _CATALOG,
     _ISOMETRIES,
-    CATALOG_COUNTS,
     Edge,
     Plane,
     TermOrbit,
@@ -27,13 +27,11 @@ from overlatt.geometry3d import (
     cap_triple_intersection_volume,
     critical_radii_3d,
     dual_radii_3d,
-    ordering_regime,
     spherical_cap_volume,
     vol_overlap_3d,
     voronoi_ball_volume_3d,
     _activation_radius,
     _build_arrangement,
-    _coeff_type,
     _image,
     _inclusion_exclusion,
     _line_foot,
@@ -80,9 +78,6 @@ class TestCriticalRadii3D:
             cov = covering_radius(DistortedLattice(3, float(delta)))
             assert rad.r6 == pytest.approx(cov, abs=1e-14)
 
-    def test_catalog_counts(self):
-        assert CATALOG_COUNTS == (6, 6, 2, 18, 18, 24)
-
     def test_rejects_out_of_branch(self):
         for bad in (0.0, -0.5, 1.5, math.nan, math.inf):
             with pytest.raises(ValueError):
@@ -104,30 +99,23 @@ class TestCriticalRadii3D:
 
 
 class TestOrderingRegime:
-    def test_examples(self):
-        assert ordering_regime(0.3) == 1
-        assert ordering_regime(0.6) == 2
-        assert ordering_regime(0.65) == 3
-        assert ordering_regime(0.9) == 4
-        assert ordering_regime(1.0) == 4
+    """The four orders of the critical radii for delta in (0, 1]: r3
+    passes r1 at 1/2, r2 at sqrt(2/5) and r4 at the root of
+    12 d^4 - 114 d^2 + 48 in (0, 1)."""
 
-    def test_boundaries_tie_to_lower(self):
-        assert ordering_regime(0.5) == 1
-        assert ordering_regime(math.sqrt(2.0 / 5.0)) == 2
-
-    def test_threshold_between_3_and_4(self):
-        # root of 12 d^4 - 114 d^2 + 48 = 0 in (0, 1)
-        droot = math.sqrt(19.0 / 4.0 - 0.75 * math.sqrt(33.0))
-        assert ordering_regime(droot * 0.999) == 3
-        assert ordering_regime(droot * 1.001) == 4
+    THRESHOLDS = (0.5, math.sqrt(2.0 / 5.0),
+                  math.sqrt(19.0 / 4.0 - 0.75 * math.sqrt(33.0)))
+    ORDERS = ("r3 r1 r2 r5 r4 r6", "r1 r3 r2 r4 r5 r6",
+              "r1 r2 r3 r4 r5 r6", "r1 r2 r4 r3 r5 r6")
 
     def test_claimed_order_holds(self):
-        orders = {1: "r3 r1 r2 r5 r4 r6", 2: "r1 r3 r2 r4 r5 r6",
-                  3: "r1 r2 r3 r4 r5 r6", 4: "r1 r2 r4 r3 r5 r6"}
-        for delta in np.linspace(0.05, 1.0, 39):
-            rad = critical_radii_3d(float(delta))
-            seq = [getattr(rad, name)
-                   for name in orders[ordering_regime(float(delta))].split()]
+        deltas = [float(d) for d in np.linspace(0.05, 1.0, 39)] + [
+            t * f for t in self.THRESHOLDS for f in (0.999, 1.0, 1.001)]
+        for delta in deltas:
+            rad = critical_radii_3d(delta)
+            # a threshold itself takes the order below it: both hold there
+            order = self.ORDERS[bisect.bisect_left(self.THRESHOLDS, delta)]
+            seq = [getattr(rad, name) for name in order.split()]
             assert all(a <= b + 1e-12 for a, b in zip(seq, seq[1:]))
 
 
@@ -714,18 +702,13 @@ class TestCapArrangement:
         arr2 = build_cap_arrangement(2.0)
         assert arr2.plane_distance_multiset() == {round(math.sqrt(0.5), 9): 12}
 
-    def test_edge_radii_and_subtypes(self):
+    def test_edge_radii(self):
         for delta in (0.3, 0.9):
             arr = build_cap_arrangement(delta)
             rad = critical_radii_3d(delta)
             n4 = sum(1 for e in arr.edges if abs(e.distance - rad.r4) < 1e-9)
             n5 = sum(1 for e in arr.edges if abs(e.distance - rad.r5) < 1e-9)
             assert n4 == 18 and n5 == 18
-            counts = arr.edge_subtype_counts()
-            assert sorted(counts.values()) == [6, 6, 6, 6, 12]
-            # the doubled subtype joins a column face to a pair-sum face
-            doubled = [tag for tag, c in counts.items() if c == 12]
-            assert doubled == ["12|1"]
 
     def test_vertices_below_one(self):
         arr = build_cap_arrangement(0.7)
@@ -857,7 +840,7 @@ class TestCellCatalog:
         assert set(coeffs) == _relevant_vectors(delta)
         lat = DistortedLattice(3, delta)
         for p in arr.planes:
-            b = lat.lattice_point(p.coeffs)
+            b = lat.basis @ p.coeffs
             assert p.distance == pytest.approx(np.linalg.norm(b) / 2.0,
                                                rel=1e-14)
 
@@ -909,6 +892,21 @@ class TestFloatRange:
         # it was 6.9e283, for a cell of volume 1e-300
         with pytest.raises(ValueError):
             voronoi_ball_volume_3d(1e-300, 0.3)
+
+    @pytest.mark.parametrize("delta", [1e-5, 1e5])
+    def test_union_refuses_the_cells_it_builds_but_cannot_sum(self, delta):
+        # the cap terms lose 1e-9 beyond [1e-3, 50]; at delta = 1e8 they
+        # gave a union of 0.671 where it is 0.990
+        lat = DistortedLattice(3, delta)
+        pack, cover = packing_radius(lat), covering_radius(lat)
+        build_cap_arrangement(delta)
+        with pytest.raises(ValueError, match=r"only for delta in "
+                                             r"\[0.001, 50\], got "):
+            voronoi_ball_volume_3d(delta, 0.5 * (pack + cover))
+        # the closed ends need no cap terms
+        assert voronoi_ball_volume_3d(delta, cover) == delta
+        assert voronoi_ball_volume_3d(delta, 0.5 * pack) == V3 * (
+            0.5 * pack) ** 3
 
     @pytest.mark.parametrize("delta", [1e-7, 1.0 - 1e-9, 1.0 - 0.999e-9,
                                        1.0 + 0.999e-9, 1.0 + 1e-9, 1e7])
@@ -1040,11 +1038,8 @@ def _reference_arrangement(delta):
     edges = []
     for i, j in sorted(pair for pair, k in shared.items() if k == 2):
         foot = _line_foot(normals[i], dists[i], normals[j], dists[j])
-        ti, tj = _coeff_type(coeffs[i]), _coeff_type(coeffs[j])
-        tdiff = _coeff_type(np.subtract(coeffs[i], coeffs[j]))
         edges.append(Edge(planes=(i, j),
-                          distance=float(np.linalg.norm(foot)),
-                          subtype=f"{min(ti, tj)}{max(ti, tj)}|{tdiff}"))
+                          distance=float(np.linalg.norm(foot))))
 
     def solved(term):
         return _activation_radius(normals[list(term)], dists[list(term)])

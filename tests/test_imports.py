@@ -68,11 +68,10 @@ PUBLIC = {
     "crossover_omega", "density", "density_derivative_2d", "dist_overlap",
     "dual_radii_3d", "free_space", "max_radius_for_overlap", "mc_union",
     "mc_vol_overlap", "mc_volume_region", "measure_report", "named_lattice",
-    "nearest_lattice_point", "optimize_delta", "ordering_regime",
-    "packing_radius", "qual_covering", "qual_packing", "run_suite",
-    "shortest_vector_norm", "spherical_cap_volume", "union_fraction",
-    "unit_ball_volume", "vol_overlap", "vol_overlap_2d", "vol_overlap_3d",
-    "voronoi_ball_area", "voronoi_ball_volume_3d",
+    "optimize_delta", "packing_radius", "qual_covering", "qual_packing",
+    "run_suite", "shortest_vector_norm", "spherical_cap_volume",
+    "union_fraction", "unit_ball_volume", "vol_overlap", "vol_overlap_2d",
+    "vol_overlap_3d", "voronoi_ball_area", "voronoi_ball_volume_3d",
 }
 
 

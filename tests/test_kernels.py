@@ -19,7 +19,7 @@ class TestCountCovered:
         lat = DistortedLattice(n, delta)
         offsets, weight = coverage_offsets(lat)
         u = _coeff_rows(lat, 4000, seed=n * 100 + 1)
-        d2, _ = brute_nearest(lat, u @ lat.basis.T)
+        d2 = brute_nearest(lat, u @ lat.basis.T)
         for r in [0.05, 0.3, 0.7, 1.4]:
             got = _kernels.count_covered(u, offsets, weight, r)
             assert got == int(np.count_nonzero(d2 <= r * r))
@@ -119,7 +119,7 @@ class TestSquaredDistances:
         for delta in np.geomspace(0.05, 20.0, 20):
             lat = DistortedLattice(n, float(delta))
             got = _kernels._squared_distances(u, *coverage_offsets(lat))
-            want, _ = brute_nearest(lat, u @ lat.basis.T)
+            want = brute_nearest(lat, u @ lat.basis.T)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 

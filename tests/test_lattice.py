@@ -1,4 +1,4 @@
-"""Lattice family: basis, named lattices, radii branches, nearest point."""
+"""Lattice family: basis, named lattices, radii branches, nearest distance."""
 
 import itertools
 import math
@@ -14,7 +14,6 @@ from overlatt.lattice import (
     packing_radius,
     covering_radius,
     shortest_vector_norm,
-    nearest_lattice_point,
     nearest_distances,
 )
 from overlatt.geometry2d import (
@@ -30,9 +29,17 @@ from overlatt.geometry3d import (
     critical_radii_3d,
     dual_radii_3d,
     spherical_cap_volume,
+    vol_overlap_3d,
     voronoi_ball_volume_3d,
 )
-from overlatt.measures import OverlapMeasure, union_fraction
+from overlatt.measures import (
+    OverlapMeasure,
+    density,
+    dist_overlap,
+    free_space,
+    union_fraction,
+    vol_overlap,
+)
 from overlatt.oracle import mc_union
 from overlatt.quality import (
     QualityMode,
@@ -77,7 +84,6 @@ class TestDistortedLattice:
     def test_determinant_is_delta(self, n, delta):
         lat = DistortedLattice(n, delta)
         assert np.linalg.det(lat.basis) == pytest.approx(delta, rel=1e-12)
-        assert lat.determinant == delta
 
     def test_basis_columns(self):
         lat = DistortedLattice(3, 0.4)
@@ -343,6 +349,57 @@ class TestSharedChecks:
                                              r"got "):
             call(k)
 
+    # entry -> call with each real argument made by the constructor f
+    FLOAT_ENTRIES = {
+        "DistortedLattice delta": lambda f: DistortedLattice(3, f(2.0)).delta,
+        "voronoi_ball_area": lambda f: voronoi_ball_area(f(0.7), f(0.5)),
+        "vol_overlap_2d": lambda f: vol_overlap_2d(f(0.7), f(0.5)),
+        "covering_overlap_2d": lambda f: covering_overlap_2d(f(0.7)),
+        "spherical_cap_volume": lambda f: spherical_cap_volume(f(1.0),
+                                                               f(0.3)),
+        "cap_pair_intersection_volume": lambda f: (
+            cap_pair_intersection_volume(f(1.0), ((1, 0, 0), f(0.3)),
+                                         ((0, 1, 0), f(0.2)))),
+        "cap_triple_intersection_volume": lambda f: (
+            cap_triple_intersection_volume(f(1.0), ((1, 0, 0), f(0.3)),
+                                           ((0, 1, 0), f(0.2)),
+                                           ((0, 0, 1), f(0.1)))),
+        # r between the nearest face and the covering radius
+        "voronoi_ball_volume_3d": lambda f: voronoi_ball_volume_3d(f(0.7),
+                                                                   f(0.6)),
+        "vol_overlap_3d": lambda f: vol_overlap_3d(f(0.7), f(0.6)),
+        "density": lambda f: density(DistortedLattice(3, f(0.7)), f(0.6)),
+        "union_fraction n=2": lambda f: union_fraction(
+            DistortedLattice(2, f(0.7)), f(0.5)),
+        "union_fraction n=3": lambda f: union_fraction(
+            DistortedLattice(3, f(0.7)), f(0.6)),
+        "union_fraction n=4": lambda f: union_fraction(
+            DistortedLattice(4, f(0.7)), f(0.1)),
+        "vol_overlap": lambda f: vol_overlap(DistortedLattice(3, f(0.7)),
+                                             f(0.6)),
+        "dist_overlap": lambda f: dist_overlap(DistortedLattice(3, f(0.7)),
+                                               f(0.6)),
+        "free_space": lambda f: free_space(DistortedLattice(3, f(0.7)),
+                                           f(0.6)),
+        "max_radius_for_overlap": lambda f: max_radius_for_overlap(
+            DistortedLattice(2, f(0.7)), VOL, f(0.1)),
+        "qual_packing r": lambda f: qual_packing(
+            DistortedLattice(3, f(0.7)), VOL, f(0.1)).r,
+        "qual_covering r": lambda f: qual_covering(
+            DistortedLattice(3, f(0.7)), f(0.1)).r,
+        "density_derivative_2d": lambda f: density_derivative_2d(f(0.7),
+                                                                 f(0.1)),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(FLOAT_ENTRIES))
+    def test_numpy_scalars_give_python_floats(self, entry):
+        # a numpy scalar would run the closed form on numpy arithmetic
+        # and come back as one
+        got = self.FLOAT_ENTRIES[entry](np.float64)
+        want = self.FLOAT_ENTRIES[entry](float)
+        assert type(got) is float and type(want) is float
+        assert got.hex() == want.hex()
+
     def test_numpy_integer_grid_gives_the_same_float(self):
         got = crossover_omega(grid=np.int64(11))
         assert type(got) is float
@@ -366,24 +423,18 @@ class TestSharedChecks:
 
 class TestNearestLatticePoint:
     def test_integer_lattice_rounding(self):
+        # (0.5, 0.5) is the deep hole, equally far from four points
         lat = DistortedLattice(2, 1.0)
-        pt, dist = nearest_lattice_point(lat, (0.4, 0.4))
-        assert np.allclose(pt, [0.0, 0.0])
-        assert dist == pytest.approx(math.sqrt(0.32), abs=TOL)
+        dist = nearest_distances(lat, [(0.4, 0.4), (0.5, 0.5)])
+        assert dist == pytest.approx([math.sqrt(0.32), math.sqrt(0.5)],
+                                     abs=TOL)
 
     def test_bisector_point_at_packing_radius(self):
+        # equally far from the origin and column 1
         lat = DistortedLattice(3, 2.0)
         mid = 0.5 * lat.basis[:, 0]
-        pt, dist = nearest_lattice_point(lat, mid)
+        dist, = nearest_distances(lat, mid[None, :])
         assert dist == pytest.approx(packing_radius(lat), abs=TOL)
-        # tie between origin and column 1; lexicographic pick is the origin
-        assert np.allclose(pt, [0.0, 0.0, 0.0])
-
-    def test_lexicographic_tie_break(self):
-        lat = DistortedLattice(2, 1.0)
-        pt, dist = nearest_lattice_point(lat, (0.5, 0.5))
-        assert np.allclose(pt, [0.0, 0.0])
-        assert dist == pytest.approx(math.sqrt(0.5), abs=TOL)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(42)
@@ -393,11 +444,11 @@ class TestNearestLatticePoint:
             grid = np.stack(np.meshgrid(*coeffs, indexing="ij"),
                             axis=-1).reshape(-1, n)
             pts_all = grid @ lat.basis.T
-            for _ in range(20):
-                p = (rng.random(n) - 0.5) * 3.0
-                pt, dist = nearest_lattice_point(lat, p)
-                brute = np.linalg.norm(pts_all - p, axis=1).min()
-                assert dist == pytest.approx(brute, abs=1e-12)
+            p = (rng.random((20, n)) - 0.5) * 3.0
+            brute = np.linalg.norm(pts_all[None, :, :] - p[:, None, :],
+                                   axis=2).min(axis=1)
+            assert nearest_distances(lat, p) == pytest.approx(brute,
+                                                              abs=1e-12)
 
     def test_fundamental_domain_within_covering(self):
         # 1e5 seeded cell points all land within the covering radius
@@ -426,12 +477,12 @@ class TestNearestLatticePoint:
         for delta in np.geomspace(0.05, 20.0, 7):
             lat = DistortedLattice(n, float(delta))
             pts = u @ lat.basis.T
-            want, _ = brute_nearest(lat, pts)
+            want = brute_nearest(lat, pts)
             np.testing.assert_allclose(nearest_distances(lat, pts) ** 2, want,
                                        rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_ties_resolve_to_lexicographic_minimum(self, n, brute_nearest):
+    def test_distances_at_ties_match_brute_force(self, n, brute_nearest):
         # points B c on a half-integer coefficient grid sit on cell faces,
         # edges and vertices, where several lattice points tie
         grid = np.array(list(itertools.product((-1.5, -0.5, 0.0, 0.5, 1.0),
@@ -439,11 +490,9 @@ class TestNearestLatticePoint:
         for delta in (0.05, 1.0 / math.sqrt(n + 1), 0.5, 1.0, 2.0, 20.0):
             lat = DistortedLattice(n, delta)
             pts = grid @ lat.basis.T
-            d2, coeffs = brute_nearest(lat, pts)
-            for p, want_d2, want in zip(pts, d2, coeffs):
-                pt, dist = nearest_lattice_point(lat, p)
-                assert np.array_equal(np.rint(lat.inverse_basis @ pt), want)
-                assert dist ** 2 == pytest.approx(want_d2, abs=1e-12)
+            np.testing.assert_allclose(nearest_distances(lat, pts) ** 2,
+                                       brute_nearest(lat, pts),
+                                       rtol=0.0, atol=1e-12)
 
     def test_coefficients_at_rounding_edge(self, brute_nearest):
         # a coefficient of -1e-17 has fraction 1 - 1e-17, which rounds to 1
@@ -452,15 +501,14 @@ class TestNearestLatticePoint:
             lat = DistortedLattice(n, delta)
             pts = np.array(list(itertools.product(edge, repeat=n))) \
                 @ lat.basis.T
-            d2, coeffs = brute_nearest(lat, pts)
-            np.testing.assert_allclose(nearest_distances(lat, pts) ** 2, d2,
+            np.testing.assert_allclose(nearest_distances(lat, pts) ** 2,
+                                       brute_nearest(lat, pts),
                                        rtol=0.0, atol=1e-12)
-            for p, want in zip(pts, coeffs):
-                pt, _ = nearest_lattice_point(lat, p)
-                assert np.array_equal(np.rint(lat.inverse_basis @ pt), want)
+        # the nearest point is the origin: the decoder's squared-distance
+        # arithmetic leaves a few ulps, a wrong pick the packing radius
         lat = DistortedLattice(3, 0.5)
-        pt, dist = nearest_lattice_point(lat, lat.basis @ np.full(3, -1e-17))
-        assert np.array_equal(pt, np.zeros(3)) and dist < 1e-16
+        dist, = nearest_distances(lat, (lat.basis @ np.full(3, -1e-17))[None])
+        assert dist < 1e-12
 
     def test_decoder_memory_is_bounded(self):
         # a 5^8 window table alone takes 25 MB; the decoder about 0.3 MB
@@ -470,20 +518,11 @@ class TestNearestLatticePoint:
         tracemalloc.start()
         try:
             dists = nearest_distances(lat, pts)
-            _, dist = nearest_lattice_point(lat, pts[0])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
         assert np.all(dists <= covering_radius(lat) * (1 + 1e-12))
-        assert dist == pytest.approx(dists[0], abs=1e-12)
-
-    def test_rejects_bad_points(self):
-        lat = DistortedLattice(2, 1.0)
-        with pytest.raises(ValueError):
-            nearest_lattice_point(lat, (1.0, 2.0, 3.0))
-        with pytest.raises(ValueError):
-            nearest_lattice_point(lat, (float("nan"), 0.0))
 
     @pytest.mark.parametrize("points", [
         [[float("nan"), 0.0]], [[0.0, 0.0], [float("inf"), 1.0]],

@@ -272,8 +272,8 @@ class TestUnionMetamorphic:
                 math.sqrt(19.0 / 4.0 - 3.0 * math.sqrt(33.0) / 4.0), 2.0)),
            frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     def test_3d_continuous_across_regime_boundaries(self, boundary, frac):
-        # ordering_regime switches at the first three, the packing
-        # radius branch at 1/2 and 2
+        # the order of the critical radii switches at the first three,
+        # the packing radius branch at 1/2 and 2
         r = frac * covering_radius(DistortedLattice(3, boundary))
         lo = DistortedLattice(3, boundary * (1.0 - 1e-9))
         hi = DistortedLattice(3, boundary * (1.0 + 1e-9))

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from overlatt.geometry2d import _area_and_slope, voronoi_ball_area
-from overlatt.geometry3d import voronoi_ball_volume_3d
+from overlatt.geometry3d import _UNION_DELTAS, voronoi_ball_volume_3d
 from overlatt.lattice import DistortedLattice, covering_radius, packing_radius
 
 import reference
@@ -140,3 +140,18 @@ def test_voronoi_ball_volume_3d_matches_reference():
     for (err, delta, r), bound in ((generic, VOLUME_REL_TOL),
                                    (near, VOLUME_NEAR_REL_TOL)):
         assert err <= bound, f"{err} at delta={delta!r}, r={r!r}"
+
+
+@pytest.mark.parametrize("delta", _UNION_DELTAS)
+def test_voronoi_ball_volume_3d_holds_at_the_ends_of_its_range(delta):
+    # the relative error grows about 100x per decade away from 1 (1e-10
+    # here, 1e-9 near 2e-4 and 125); voronoi_ball_volume_3d refuses
+    # beyond.  The near radii are left out: they lose up to 3e-7 at 1e-3
+    lat = DistortedLattice(3, delta)
+    pack, cover = packing_radius(lat), covering_radius(lat)
+    radii = [float(r) for r in np.linspace(pack, cover, 42)[1:-1]]
+    radii += _radii(_critical_3d(delta), pack)[0]
+    for r in radii:
+        exact = reference.volume_3d(delta, r)
+        err = abs(mpf(voronoi_ball_volume_3d(delta, r)) - exact) / exact
+        assert err <= 1e-9, f"{err} at delta={delta!r}, r={r!r}"

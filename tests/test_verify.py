@@ -1,12 +1,13 @@
 """Tests for the verification suites."""
 
+import bisect
 import json
+import math
 from types import SimpleNamespace
 
 import pytest
 
 from overlatt import oracle, verify
-from overlatt.geometry3d import ordering_regime
 from overlatt.lattice import DistortedLattice
 from overlatt.verify import (
     GRID_DELTAS_2D,
@@ -132,8 +133,13 @@ class TestOracleGridCoverage:
         assert count_3d >= 100
 
     def test_3d_grid_spans_all_regimes(self):
-        regimes = {ordering_regime(d) for d in GRID_DELTAS_3D if d <= 1.0}
-        assert regimes == {1, 2, 3, 4}
+        # r3 passes r1, r2 and r4 at these deltas: the critical radii
+        # take one order below, between and above them
+        thresholds = (0.5, math.sqrt(2.0 / 5.0),
+                      math.sqrt(19.0 / 4.0 - 0.75 * math.sqrt(33.0)))
+        regimes = {bisect.bisect_left(thresholds, d)
+                   for d in GRID_DELTAS_3D if d <= 1.0}
+        assert regimes == {0, 1, 2, 3}
         assert any(d > 1.0 for d in GRID_DELTAS_3D)
 
     def test_2d_grid_spans_both_sides_of_kink(self):
